@@ -35,94 +35,94 @@ from .errors import (
 
 MAX_ORDER = 5040
 
-# below this order the pure-Python triple sweep beats the numpy setup cost
-_NUMPY_SWEEP_THRESHOLD = 64
-
 
 # ---------------------------------------------------------------------------
-# validation internals
+# validation internals: every check runs on one numpy copy of the table
 
 
-def _normalize_rows(table) -> tuple[tuple[array, ...], int]:
-    rows = []
-    for row in table:
-        try:
-            rows.append(array("i", (int(v) for v in row)))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"table entries must be integers: {exc}") from None
-    n = len(rows)
+def _as_array(table) -> np.ndarray:
+    n = len(table)
     if n == 0:
         raise ValueError("table must have side >= 1")
     if n > MAX_ORDER:
         raise GroupTooLarge(f"order {n} exceeds the cap of {MAX_ORDER}")
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("table must be square")
-    return tuple(rows), n
+    try:
+        square = all(len(row) == n for row in table)
+        t = np.array(table, dtype=np.int64) if square else None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"table entries must be integers: {exc}") from None
+    if t is None or t.shape != (n, n):
+        raise ValueError("table must be square")
+    return t
 
 
-def _closure_witness(rows, n):
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if not 0 <= v < n:
-                return (i, j, v)
+def _closure_witness(t: np.ndarray):
+    n = len(t)
+    bad = (t < 0) | (t >= n)
+    if not bad.any():
+        return None
+    i, j = divmod(int(bad.argmax()), n)
+    return (i, j, int(t[i, j]))
+
+
+def _light_witness(t: np.ndarray):
+    """Light's associativity test (Clifford & Preston I, 1961, section 1.2).
+
+    The elements a with (x*a)*y == x*(a*y) for all x, y are closed under
+    the product, so it suffices to check a generating set A. A is chosen
+    greedily: the smallest element not yet reached joins A, then the
+    reached set grows by right multiplication with A. Returns the triple
+    (x, a, y) for the first generator a that fails, or None when the table
+    is associative. Costs O(order^2 * |A|); on a group table |A| is at most
+    log2(order) + 2, while an associative table that is not a group can
+    need up to order generators.
+    """
+    n = len(t)
+    # rows per block: keeps the temporaries small enough to be reused
+    step = max(1, (1 << 18) // n)
+    reached = np.zeros(n, dtype=bool)
+    gens: list[int] = []
+    while not reached.all():
+        a = int(reached.argmin())
+        xa, ay = t[:, a], t[a]
+        for lo in range(0, n, step):
+            bad = t[xa[lo:lo + step]] != t[lo:lo + step][:, ay]
+            if bad.any():
+                x, y = divmod(int(bad.argmax()), n)
+                return (lo + x, a, y)
+        gens.append(a)
+        reached[a] = True
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            hit = np.zeros(n, dtype=bool)
+            hit[t[frontier[:, None], gens]] = True
+            hit &= ~reached
+            reached |= hit
+            frontier = np.flatnonzero(hit)
     return None
 
 
-def _assoc_witness_python(rows, n):
-    rng = range(n)
-    for x in rng:
-        rx = rows[x]
-        for y in rng:
-            rxy = rows[rx[y]]
-            ry = rows[y]
-            for z in rng:
-                if rxy[z] != rx[ry[z]]:
-                    return (x, y, z)
-    return None
+def _find_identity(t: np.ndarray):
+    ar = np.arange(len(t))
+    both = (t == ar).all(axis=1) & (t == ar[:, None]).all(axis=0)
+    return int(both.argmax()) if both.any() else None
 
 
-def _assoc_witness_numpy(rows, n):
-    t = np.asarray([list(r) for r in rows], dtype=np.int16 if n < 2 ** 15 else np.int32)
-    flat = t.reshape(-1)
-    block = max(1, (1 << 24) // (n * n))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        xs = np.arange(lo, hi)
-        lhs = t[t[xs].reshape(-1)].reshape(hi - lo, n, n)
-        rhs = t[xs][:, flat].reshape(hi - lo, n, n)
-        bad = lhs != rhs
-        if bad.any():
-            i, y, z = (int(v) for v in np.argwhere(bad)[0])
-            return (lo + i, y, z)
-    return None
+def _find_inverses(t: np.ndarray, identity: int) -> np.ndarray:
+    unit = t == identity
+    unit = unit & unit.T
+    found = unit.any(axis=1)
+    if not found.all():
+        raise NoInverse(int(found.argmin()))
+    return unit.argmax(axis=1)
 
 
-def _assoc_witness(rows, n):
-    if n <= _NUMPY_SWEEP_THRESHOLD:
-        return _assoc_witness_python(rows, n)
-    return _assoc_witness_numpy(rows, n)
+def _int_array(values: np.ndarray) -> array:
+    return array("i", values.astype(np.intc).tobytes())
 
 
-def _find_identity(rows, n):
-    for e in range(n):
-        row = rows[e]
-        if all(row[x] == x for x in range(n)) and all(rows[x][e] == x for x in range(n)):
-            return e
-    return None
-
-
-def _find_inverses(rows, n, identity):
-    inv = array("i", [0]) * n
-    for x in range(n):
-        row = rows[x]
-        for y in range(n):
-            if row[y] == identity and rows[y][x] == identity:
-                inv[x] = y
-                break
-        else:
-            raise NoInverse(x)
-    return inv
+def _rows_of(t: np.ndarray) -> tuple[array, ...]:
+    return tuple(_int_array(row) for row in t)
 
 
 def _check_labels(labels, n) -> tuple[str, ...]:
@@ -167,6 +167,11 @@ class FiniteSemigroup:
 
     def table_lists(self) -> list[list[int]]:
         return [list(r) for r in self._rows]
+
+    def table_array(self) -> np.ndarray:
+        """The table as a read-only (order, order) array of C ints."""
+        return np.frombuffer(b"".join(self._rows), dtype=np.intc).reshape(
+            self.order, self.order)
 
     def label_of(self, i: int) -> str:
         return self.labels[i]
@@ -308,39 +313,53 @@ def element_order(x: Element) -> int:
 # factories
 
 
-def validate_semigroup_table(table, labels=None, name="semigroup") -> FiniteSemigroup:
-    """Check closure and associativity exhaustively; return the semigroup."""
-    rows, n = _normalize_rows(table)
-    labels = _check_labels(labels, n)
-    witness = _closure_witness(rows, n)
+def _validated_array(table, labels) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The table as an array once it is closed and associative, and its labels."""
+    t = _as_array(table)
+    labels = _check_labels(labels, len(t))
+    witness = _closure_witness(t)
     if witness:
         raise NotClosed(*witness)
-    witness = _assoc_witness(rows, n)
+    t = t.astype(np.intc)
+    witness = _light_witness(t)
     if witness:
         raise NotAssociative(witness)
-    return FiniteSemigroup(rows, labels, name)
+    return t, labels
+
+
+def validate_semigroup_table(table, labels=None, name="semigroup") -> FiniteSemigroup:
+    """Check closure and associativity exactly; return the semigroup.
+
+    Associativity is decided by Light's test on a greedy generating set
+    (see _light_witness); raises NotClosed, NotAssociative (with a witness
+    triple) or DuplicateLabel.
+    """
+    t, labels = _validated_array(table, labels)
+    return FiniteSemigroup(_rows_of(t), labels, name)
 
 
 def validate_cayley_table(table, labels=None, name="group") -> FiniteGroup:
-    """Check all group axioms exhaustively (O(order^3) associativity sweep).
+    """Check all group axioms exactly and locate the identity and inverses.
 
-    Locates the identity and the full inverse table; raises NotClosed,
-    NotAssociative (with witness triple), NoIdentity, NoInverse (with
-    witness element), or DuplicateLabel.
+    Associativity is decided by Light's test, which on a group table costs
+    O(order^2 log order). Raises NotClosed, NotAssociative (with witness
+    triple), NoIdentity, NoInverse (with witness element), or
+    DuplicateLabel, checked in that order.
     """
-    rows, n = _normalize_rows(table)
-    labels = _check_labels(labels, n)
-    witness = _closure_witness(rows, n)
-    if witness:
-        raise NotClosed(*witness)
-    witness = _assoc_witness(rows, n)
-    if witness:
-        raise NotAssociative(witness)
-    identity = _find_identity(rows, n)
+    t, labels = _validated_array(table, labels)
+    identity = _find_identity(t)
     if identity is None:
         raise NoIdentity()
-    inverses = _find_inverses(rows, n, identity)
-    return FiniteGroup(rows, labels, identity, inverses, name)
+    inverses = _find_inverses(t, identity)
+    return FiniteGroup(_rows_of(t), labels, identity, _int_array(inverses), name)
+
+
+def _trusted_group(t: np.ndarray, labels, name: str, identity: int = 0,
+                   **perm_meta) -> FiniteGroup:
+    """Wrap a table that is a group by construction, without validating it."""
+    inverses = (t == identity).argmax(axis=1)
+    return FiniteGroup(_rows_of(t), tuple(labels), identity, _int_array(inverses),
+                       name, **perm_meta)
 
 
 def _cycle_label(perm: tuple[int, ...]) -> str:
@@ -362,51 +381,36 @@ def _cycle_label(perm: tuple[int, ...]) -> str:
     return "".join(parts) or "e"
 
 
-def _symmetric_rows(perms: Sequence[tuple[int, ...]], degree: int):
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    if n <= 150:
-        return tuple(
-            array("i", (index[tuple(p[q[i]] for i in range(degree))] for q in perms))
-            for p in perms
-        )
-    # vectorized: encode one-line notation in base `degree`, compose via lut
+def _symmetric_table(perms: Sequence[tuple[int, ...]], degree: int) -> np.ndarray:
+    # encode one-line notation in base `degree`, compose via a lookup table
     arr = np.array(perms, dtype=np.int64)
     powers = degree ** np.arange(degree, dtype=np.int64)
-    lut = np.full(degree ** degree, -1, dtype=np.int64)
-    lut[arr @ powers] = np.arange(n)
-    rows = []
-    for i in range(n):
-        comp = arr[i][arr]  # comp[j] = one-line form of perms[i] after perms[j]
-        rows.append(array("i", lut[comp @ powers].tolist()))
-    return tuple(rows)
+    lut = np.zeros(degree ** degree, dtype=np.int64)
+    lut[arr @ powers] = np.arange(len(perms))
+    # arr[:, arr][i, j] is the one-line form of perms[i] after perms[j]
+    return lut[arr[:, arr] @ powers]
 
 
 def _build_symmetric(degree: int) -> FiniteGroup:
     perms = tuple(permutations(range(degree)))
-    rows = _symmetric_rows(perms, degree)
-    labels = tuple(_cycle_label(p) for p in perms)
-    g = validate_cayley_table([list(r) for r in rows], labels, name=f"S{degree}")
-    return FiniteGroup(g._rows, g.labels, g.identity, g._inv, f"S{degree}",
-                       perm_degree=degree, perms=perms)
+    labels = [_cycle_label(p) for p in perms]
+    return _trusted_group(_symmetric_table(perms, degree), labels, f"S{degree}",
+                          perm_degree=degree, perms=perms)
 
 
 def _build_cyclic(n: int) -> FiniteGroup:
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return validate_cayley_table(table, [str(i) for i in range(n)], name=f"Z{n}")
+    i = np.arange(n, dtype=np.intc)
+    return _trusted_group((i[:, None] + i) % n, [str(k) for k in range(n)], f"Z{n}")
 
 
 def _build_dihedral(n: int) -> FiniteGroup:
-    # indices 0..n-1 rotations r_i, n..2n-1 reflections s_i
-    table = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            table[i][j] = (i + j) % n
-            table[i][j + n] = n + (i + j) % n
-            table[i + n][j] = n + (i - j) % n
-            table[i + n][j + n] = (i - j) % n
-    labels = [f"r{i}" for i in range(n)] + [f"s{i}" for i in range(n)]
-    return validate_cayley_table(table, labels, name=f"D{n}")
+    # indices 0..n-1 rotations r_i, n..2n-1 reflections s_i:
+    # r_i r_j = r_(i+j), r_i s_j = s_(i+j), s_i r_j = s_(i-j), s_i s_j = r_(i-j)
+    i = np.arange(n, dtype=np.intc)
+    plus, minus = (i[:, None] + i) % n, (i[:, None] - i) % n
+    table = np.block([[plus, plus + n], [minus + n, minus]])
+    labels = [f"r{k}" for k in range(n)] + [f"s{k}" for k in range(n)]
+    return _trusted_group(table, labels, f"D{n}")
 
 
 _QUAT_LABELS = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
@@ -435,7 +439,7 @@ def _build_quaternion() -> FiniteGroup:
             a2, s2 = j // 2, 1 if j % 2 == 0 else -1
             axis, sign = q_mul(a1, s1, a2, s2)
             table[i][j] = code(axis, sign)
-    return validate_cayley_table(table, _QUAT_LABELS, name="Q8")
+    return _trusted_group(np.array(table), _QUAT_LABELS, "Q8")
 
 
 @lru_cache(maxsize=None)
@@ -445,7 +449,8 @@ def make_named(family: str, parameter: int) -> FiniteGroup:
     Element 0 is the identity. Cyclic labels are residues ascending,
     symmetric elements follow lexicographic one-line order with cycle
     labels, dihedral lists rotations then reflections, quaternion uses the
-    unit labels 1, -1, i, -i, j, -j, k, -k.
+    unit labels 1, -1, i, -i, j, -j, k, -k. The tables are groups by
+    construction and are not validated.
     """
     fam = family.lower()
     if fam == "cyclic":
@@ -472,29 +477,21 @@ def make_named(family: str, parameter: int) -> FiniteGroup:
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
-    """Componentwise product; labels are pairs of the factor labels."""
+    """Componentwise product; labels are pairs of the factor labels.
+
+    A product of groups is a group, so the table is not validated.
+    """
     order = g1.order * g2.order
     if order > MAX_ORDER:
         raise GroupTooLarge(
             f"product order {order} exceeds cap {MAX_ORDER}")
     n2 = g2.order
-    r1, r2 = g1._rows, g2._rows
+    t1, t2 = g1.table_array(), g2.table_array()
+    # entry ((a1, b1), (a2, b2)) is (a1*a2, b1*b2), flattened row-major
+    table = (t1[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(order, order)
     labels = [f"({la},{lb})" for la in g1.labels for lb in g2.labels]
-    name = f"{g1.name}x{g2.name}"
-    if order <= 64:
-        table = [[r1[a1][a2] * n2 + r2[b1][b2]
-                  for a2 in range(g1.order) for b2 in range(n2)]
-                 for a1 in range(g1.order) for b1 in range(n2)]
-        return validate_cayley_table(table, labels, name=name)
-    # products of validated groups are valid by construction; above the
-    # revalidation threshold, build identity and inverses componentwise
-    rows = tuple(
-        array("i", (r1[a1][a2] * n2 + r2[b1][b2]
-                    for a2 in range(g1.order) for b2 in range(n2)))
-        for a1 in range(g1.order) for b1 in range(n2))
-    identity = g1.identity * n2 + g2.identity
-    inverses = array("i", (g1.inv(i // n2) * n2 + g2.inv(i % n2) for i in range(order)))
-    return FiniteGroup(rows, tuple(labels), identity, inverses, name)
+    return _trusted_group(table, labels, f"{g1.name}x{g2.name}",
+                          identity=g1.identity * n2 + g2.identity)
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,13 @@ class _Scanner:
                              self.pos, expected=repr(ch))
         self.pos += 1
 
+    def at_digit(self) -> bool:
+        # ASCII only: str.isdigit also accepts superscripts and other scripts
+        return "0" <= self.peek() <= "9"
+
     def read_int(self) -> int:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.at_digit():
             self.pos += 1
         if self.pos == start:
             raise ParseError(f"unexpected {self.peek()!r}" if self.peek() else "unexpected end of input",
@@ -94,7 +98,7 @@ def _parse_one_cycle(sc: _Scanner, degree: int) -> list[int]:
         if sc.peek() == ")":
             sc.take()
             return points
-        if not sc.peek().isdigit():
+        if not sc.at_digit():
             raise ParseError(f"unexpected {sc.peek()!r}" if sc.peek() else "unclosed cycle",
                              sc.pos, expected="a point or ')'")
         start = sc.pos

@@ -117,14 +117,14 @@ def _classify_range(g: FiniteGroup, lo: int, hi: int, n_max: int,
 
 
 @lru_cache(maxsize=8)
-def _rebuild(table_json: str, labels: tuple[str, ...]) -> FiniteGroup:
+def _rebuild(table_json: str, labels: tuple[str, ...], name: str) -> FiniteGroup:
     import json as _json
-    return validate_cayley_table(_json.loads(table_json), labels)
+    return validate_cayley_table(_json.loads(table_json), labels, name)
 
 
 def _scan_range_task(args) -> tuple[list[ScanEntry], list[dict]]:
-    table_json, labels, lo, hi, n_max, seed = args
-    return _classify_range(_rebuild(table_json, labels), lo, hi, n_max, seed)
+    table_json, labels, name, lo, hi, n_max, seed = args
+    return _classify_range(_rebuild(table_json, labels, name), lo, hi, n_max, seed)
 
 
 def run_scan(g: FiniteGroup, n_max: int | None = None, *, seed: int = 0,
@@ -147,7 +147,7 @@ def run_scan(g: FiniteGroup, n_max: int | None = None, *, seed: int = 0,
         import json as _json
         table_json = _json.dumps(g.table_lists())
         chunk = (total - 1 + 4 * jobs - 1) // (4 * jobs)
-        tasks = [(table_json, g.labels, lo, min(lo + chunk, total), n_max, seed)
+        tasks = [(table_json, g.labels, g.name, lo, min(lo + chunk, total), n_max, seed)
                  for lo in range(1, total, chunk)]
         entries: list[ScanEntry] = []
         violations: list[dict] = []

@@ -285,20 +285,6 @@ def coset_commutes(a: Element, h: Subgroup) -> bool:
             == translate_mask_right(g, h.mask, a.index))
 
 
-def conjugation_witness(h: Subgroup):
-    """(g, x) with g*x*g^-1 outside H, or None if H is normal."""
-    g = h.owner
-    mask = h.mask
-    rows = g._rows
-    for a in range(g.order):
-        ra = rows[a]
-        ai = g.inv(a)
-        for x in iter_bits(mask):
-            if not mask >> rows[ra[x]][ai] & 1:
-                return a, x
-    return None
-
-
 # ---------------------------------------------------------------------------
 # subgroup enumeration (used by the verification harness)
 

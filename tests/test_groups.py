@@ -40,6 +40,39 @@ def mult_table(n):
     return [[(i * j) % n for j in range(n)] for i in range(n)]
 
 
+def brute_force_associative(table):
+    """Oracle: the exhaustive triple sweep."""
+    rng = range(len(table))
+    return all(table[table[x][y]][z] == table[x][table[y][z]]
+               for x in rng for y in rng for z in rng)
+
+
+@st.composite
+def small_magmas(draw):
+    """Tables of order 1..6: random ones, and group or mulZk tables that are
+    relabelled and may have one cell changed, so both verdicts are common."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["random", "cyclic", "klein", "multiplicative"]))
+    if kind == "random":
+        cell = st.integers(0, n - 1)
+        return draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+    if kind == "klein":
+        n = 4
+        base = [[i ^ j for j in range(n)] for i in range(n)]
+    else:
+        base = cyclic_table(n) if kind == "cyclic" else mult_table(n)
+    perm = draw(st.permutations(range(n)))
+    table = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            table[perm[x]][perm[y]] = perm[base[x][y]]
+    if draw(st.booleans()):
+        x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        table[x][y] = draw(st.integers(0, n - 1))
+    return table
+
+
 class TestValidation:
     def test_trivial_group(self):
         g = validate_cayley_table([[0]])
@@ -89,8 +122,8 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_cayley_table([[0, 1], [1]])
 
-    def test_numpy_sweep_matches_python_sweep(self):
-        # order above the pure-python threshold exercises the vectorized path
+    def test_corrupted_order_96_table_names_witness(self):
+        # one changed cell in a larger table must still be found, with a triple
         n = 96
         g = validate_cayley_table(cyclic_table(n))
         assert g.order == n
@@ -100,6 +133,26 @@ class TestValidation:
             validate_cayley_table(bad)
         x, y, z = exc.value.witness
         assert bad[bad[x][y]][z] != bad[x][bad[y][z]]
+
+    @settings(max_examples=400, deadline=None)
+    @given(table=small_magmas())
+    def test_light_test_agrees_with_brute_force(self, table):
+        try:
+            validate_semigroup_table(table)
+        except NotAssociative as exc:
+            assert not brute_force_associative(table)
+            x, y, z = exc.witness
+            assert table[table[x][y]][z] != table[x][table[y][z]]
+        else:
+            assert brute_force_associative(table)
+
+    def test_named_tables_pass_validation(self, small_corpus):
+        # named families and products skip validation; it must agree
+        for g in small_corpus:
+            checked = validate_cayley_table(g.table_lists(), g.labels)
+            assert checked.identity == g.identity
+            assert [checked.inv(i) for i in range(g.order)] == \
+                [g.inv(i) for i in range(g.order)]
 
 
 class TestNamedFamilies:

@@ -208,6 +208,18 @@ class TestFuzz:
         except ParseError:
             pass
 
+    @pytest.mark.parametrize("text,error,position", [
+        ("Z\u00b2", ParseError, 1),               # superscript two
+        ("Z\u0663", ParseError, 1),               # Arabic-Indic digit three
+        ("perm(3): (1 \u00b2)", ParseError, 12),
+        ("D1\u00b2", UnsupportedParameter, None),  # D1 is read before the '\u00b2'
+    ])
+    def test_only_ascii_digits_are_integers(self, text, error, position):
+        with pytest.raises(error) as exc:
+            parse_group_spec(text)
+        if position is not None:
+            assert exc.value.position == position
+
     def test_four_kib_malformed_input(self):
         text = "Z2x" * 1365 + "!"
         assert len(text) >= 4096

@@ -8,7 +8,7 @@ from nclosed.closedness import least_exponent
 from nclosed.errors import GroupTooLargeForScan
 from nclosed.groups import Element
 from nclosed.parsing import parse_group_spec
-from nclosed.scan import run_scan
+from nclosed.scan import _rebuild, run_scan
 from nclosed.subsets import GSubset, Subgroup, coset_commutes, translate
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
@@ -59,6 +59,13 @@ class TestScanClassification:
         assert json.dumps(solo.to_json_dict(), sort_keys=True) == \
             json.dumps(pooled.to_json_dict(), sort_keys=True)
 
+    def test_worker_rebuild_keeps_the_group_name(self):
+        # seeded samples in workers derive from the group name
+        g = parse_group_spec("D7")
+        rebuilt = _rebuild(json.dumps(g.table_lists()), g.labels, g.name)
+        assert rebuilt.name == "D7"
+        assert rebuilt.table_lists() == g.table_lists()
+
 
 class TestReportSchemas:
     def test_scan_schema(self, z9):
@@ -81,3 +88,20 @@ class TestReportSchemas:
         main(["coset", "S3", "--subgroup", "(1 2)", "--rep", "(1 3)",
               "--format", "json"])
         jsonschema.validate(json.loads(capsys.readouterr().out), schema)
+
+    def test_group_schema_named_and_table(self, capsys, tmp_path):
+        from nclosed.cli import main
+        from nclosed.groups import dump_cayley_table
+        schema = load_schema("group.schema.json")
+        path = tmp_path / "s4.json"
+        dump_cayley_table(parse_group_spec("S4"), path)
+        for spec in ("S4", f"table:{path}"):
+            main(["group", spec, "--format", "json"])
+            jsonschema.validate(json.loads(capsys.readouterr().out), schema)
+
+    def test_subgroups_schema(self, capsys):
+        from nclosed.cli import main
+        main(["subgroups", "S4", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        jsonschema.validate(payload, load_schema("subgroups.schema.json"))
+        assert payload["count"] == 30
