@@ -74,7 +74,7 @@ def _light_witness(t: np.ndarray):
     reached set grows by right multiplication with A. Returns the triple
     (x, a, y) for the first generator a that fails, or None when the table
     is associative. Costs O(order^2 * |A|); on a group table |A| is at most
-    log2(order) + 2, while an associative table that is not a group can
+    log2(order) + 1, while an associative table that is not a group can
     need up to order generators.
     """
     n = len(t)
@@ -190,7 +190,8 @@ class FiniteSemigroup:
 
 
 class FiniteGroup(FiniteSemigroup):
-    """Validated finite group: adds identity, inverses, powers, orders."""
+    """Finite group, validated or built by construction: adds identity,
+    inverses, powers, orders."""
 
     kind = "group"
 
