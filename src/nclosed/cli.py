@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from math import lcm
 
@@ -26,6 +25,7 @@ from .subsets import (
     is_normal_classic,
     translate,
 )
+from .util import available_cpus
 from .verify import DEFAULT_CORPUS, run_verification
 
 
@@ -225,8 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default text)")
-    common.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker processes (default: available parallelism)")
+    common.add_argument("--jobs", type=int, default=available_cpus(),
+                        help="worker processes, at most one per available CPU "
+                             "(default: the CPUs this process may use)")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for sampled tuple checks (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -279,6 +280,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.jobs < 1:
+            raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
     except TheoremViolation as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)

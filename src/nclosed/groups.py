@@ -150,8 +150,6 @@ class FiniteSemigroup:
     groups); the raw constructor trusts its arguments.
     """
 
-    kind = "semigroup"
-
     def __init__(self, rows, labels, name="semigroup"):
         self.order: int = len(rows)
         self._rows = rows
@@ -173,17 +171,8 @@ class FiniteSemigroup:
         return np.frombuffer(b"".join(self._rows), dtype=np.intc).reshape(
             self.order, self.order)
 
-    def label_of(self, i: int) -> str:
-        return self.labels[i]
-
     def index_of_label(self, label: str) -> int | None:
         return self._label_index.get(label)
-
-    def element(self, i: int) -> "Element":
-        return Element(self, i)
-
-    def elements(self) -> list["Element"]:
-        return [Element(self, i) for i in range(self.order)]
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name} order {self.order}>"
@@ -192,8 +181,6 @@ class FiniteSemigroup:
 class FiniteGroup(FiniteSemigroup):
     """Finite group, validated or built by construction: adds identity,
     inverses, powers, orders."""
-
-    kind = "group"
 
     def __init__(self, rows, labels, identity, inverses, name="group",
                  perm_degree=None, perms=None):
@@ -227,10 +214,6 @@ class FiniteGroup(FiniteSemigroup):
             x = self._rows[x][a]
             m += 1
         return m
-
-    @property
-    def identity_element(self) -> "Element":
-        return Element(self, self.identity)
 
     def permutation_of(self, i: int) -> tuple[int, ...] | None:
         return self._perms[i] if self._perms else None
@@ -271,15 +254,6 @@ class Element:
     def __mul__(self, other: "Element") -> "Element":
         same_structure(self.owner, other.owner)
         return Element(self.owner, self.owner.mul(self.index, other.index))
-
-    def __pow__(self, m: int) -> "Element":
-        return power(self, m)
-
-    def inverse(self) -> "Element":
-        return inverse(self)
-
-    def order(self) -> int:
-        return element_order(self)
 
     def __repr__(self):
         return f"<{self.label} in {self.owner.name}>"

@@ -86,16 +86,13 @@ def normal_iff_index_plus_one(h: Subgroup) -> NormalityVerdict:
     )
 
 
-def normal_iff_existential(h: Subgroup, m_max: int | None = None) -> NormalityVerdict:
-    """Normal iff every coset a*H is m-closed for some m in [3, m_max].
+def normal_iff_existential(h: Subgroup) -> NormalityVerdict:
+    """Normal iff every coset a*H is m-closed for some m >= 3.
 
-    m_max defaults to |G|+1, which always suffices in a finite group: a
-    commuting coset is (t+1)-closed with t at most the order of a. A coset
-    with no witness under that bound is genuinely never m-closed.
+    A commuting coset is (t+1)-closed, t the least exponent of a; a coset
+    with aH != Ha is never m-closed, so it gets no witness.
     """
     g = _require_proper(h)
-    if m_max is None:
-        m_max = g.order + 1
     partition = left_cosets(h)
     checks = []
     violations: list[dict] = []
@@ -105,9 +102,7 @@ def normal_iff_existential(h: Subgroup, m_max: int | None = None) -> NormalityVe
         a = Element(g, rep)
         witness: int | None = None
         if coset_commutes(a, h):
-            t = closedness.least_exponent(a, h)
-            if t + 1 <= m_max:
-                witness = t + 1
+            witness = closedness.least_exponent(a, h) + 1
         if witness is not None and g.order <= _ENGINE_CHECK_ORDER_CAP:
             if not closedness.is_n_closed(coset, witness):
                 violations.append(closedness.make_certificate(

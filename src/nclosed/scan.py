@@ -4,13 +4,12 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import closedness
 from .errors import GroupTooLargeForScan
-from .groups import FiniteGroup, validate_cayley_table
+from .groups import FiniteGroup
 from .subsets import GSubset
-from .util import iter_bits
+from .util import iter_bits, worker_count
 
 SCAN_ORDER_CAP = 14
 
@@ -116,15 +115,8 @@ def _classify_range(g: FiniteGroup, lo: int, hi: int, n_max: int,
     return entries, violations
 
 
-@lru_cache(maxsize=8)
-def _rebuild(table_json: str, labels: tuple[str, ...], name: str) -> FiniteGroup:
-    import json as _json
-    return validate_cayley_table(_json.loads(table_json), labels, name)
-
-
 def _scan_range_task(args) -> tuple[list[ScanEntry], list[dict]]:
-    table_json, labels, name, lo, hi, n_max, seed = args
-    return _classify_range(_rebuild(table_json, labels, name), lo, hi, n_max, seed)
+    return _classify_range(*args)
 
 
 def run_scan(g: FiniteGroup, n_max: int | None = None, *, seed: int = 0,
@@ -143,15 +135,14 @@ def run_scan(g: FiniteGroup, n_max: int | None = None, *, seed: int = 0,
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     total = 1 << g.order
-    if jobs > 1 and total >= _POOL_THRESHOLD:
-        import json as _json
-        table_json = _json.dumps(g.table_lists())
-        chunk = (total - 1 + 4 * jobs - 1) // (4 * jobs)
-        tasks = [(table_json, g.labels, g.name, lo, min(lo + chunk, total), n_max, seed)
+    workers = worker_count(jobs, total - 1)
+    if workers > 1 and total >= _POOL_THRESHOLD:
+        chunk = (total - 1 + 4 * workers - 1) // (4 * workers)
+        tasks = [(g, lo, min(lo + chunk, total), n_max, seed)
                  for lo in range(1, total, chunk)]
         entries: list[ScanEntry] = []
         violations: list[dict] = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for part_entries, part_violations in pool.map(_scan_range_task, tasks):
                 entries.extend(part_entries)
                 violations.extend(part_violations)

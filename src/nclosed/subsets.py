@@ -53,10 +53,6 @@ class GSubset:
     def size(self) -> int:
         return self.mask.bit_count()
 
-    @property
-    def is_empty(self) -> bool:
-        return self.mask == 0
-
     def indices(self) -> list[int]:
         return list(iter_bits(self.mask))
 

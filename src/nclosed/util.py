@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 from typing import Iterator
 
@@ -15,11 +16,19 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def mask_of(indices) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
+def available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def worker_count(jobs: int, tasks: int) -> int:
+    """Pool size for jobs requested over tasks: never more workers than
+    tasks or available CPUs, since a pool forks every worker up front."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return max(1, min(jobs, tasks, available_cpus()))
 
 
 def derived_rng(seed: int, *context) -> random.Random:

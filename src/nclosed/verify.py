@@ -32,7 +32,7 @@ from .subsets import (
     proper_subgroups,
     translate_mask_left,
 )
-from .util import derived_rng, iter_bits
+from .util import derived_rng, iter_bits, worker_count
 
 DEFAULT_CORPUS: tuple[str, ...] = (
     "Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z9", "Z10", "Z11", "Z12",
@@ -155,10 +155,11 @@ def cor22_coset_checks(g: FiniteGroup, h: Subgroup, rep: int,
     a = Element(g, rep)
     coset = GSubset(g, translate_mask_left(g, rep, h.mask))
     commutes = coset_commutes(a, h)
+    profile = closedness.closedness_profile(coset)
     checked = 0
     violations = []
     for n in n_range:
-        engine = closedness.is_n_closed(coset, n)
+        engine = profile.is_closed(n)
         fast = commutes and g.pow(rep, n - 1) in h
         checked += 1
         if engine != fast:
@@ -195,10 +196,11 @@ def sweep_extraction(g: FiniteGroup, ns=(3, 4, 5), seed: int = 0) -> tuple[int, 
     violations: list[dict] = []
     for mask in range(1, 1 << g.order):
         d = GSubset(g, mask)
-        if closedness.is_n_closed(d, 2):
+        profile = closedness.closedness_profile(d)
+        if profile.is_closed(2):
             continue
         for n in ns:
-            if not closedness.is_n_closed(d, n):
+            if not profile.is_closed(n):
                 continue
             checked += 1
             try:
@@ -306,13 +308,14 @@ def _check_coset(g: FiniteGroup, h: Subgroup, rep: int, seed: int,
     tallies["C2.2"].checked += checked
     tallies["C2.2"].violations.extend(violations)
 
+    profile = closedness.closedness_profile(coset)
     tallies["T2.2.1"].checked += 1
-    if closedness.is_n_closed(coset, 2):
+    if profile.is_closed(2):
         tallies["T2.2.1"].violations.append(closedness.make_certificate(
             g, "T2.2.1", subgroup=h_labels, rep=a.label, n=2,
             detail="a proper coset can never be 2-closed"))
     for n in range(3, 11):
-        if closedness.is_n_closed(coset, n):
+        if profile.is_closed(n):
             tallies["T2.2.1"].checked += 1
             if g.pow(rep, n - 1) not in h:
                 tallies["T2.2.1"].violations.append(closedness.make_certificate(
@@ -436,8 +439,9 @@ def run_verification(specs=DEFAULT_CORPUS, *, seed: int = 0,
                 f"got {g.name} of order {g.order}")
     tallies = _new_tallies()
     tasks = [(spec, seed) for spec in specs]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = worker_count(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_verify_group_task, tasks):
                 _merge(tallies, part)
     else:

@@ -9,6 +9,31 @@ from nclosed.groups import make_named  # noqa: E402
 from nclosed.parsing import parse_group_spec  # noqa: E402
 
 
+@pytest.fixture
+def serial_pool():
+    """ProcessPoolExecutor stand-in: records max_workers and the number of
+    tasks in .sizes, and maps in this process, so no worker is started."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            sizes.append(len(tasks))
+            return map(fn, tasks)
+
+    SerialPool.sizes = sizes
+    return SerialPool
+
+
 @pytest.fixture(scope="session")
 def z4():
     return make_named("cyclic", 4)

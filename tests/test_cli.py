@@ -138,6 +138,12 @@ class TestVerify:
         _, pooled, _ = run_cli(capsys, *args, "--jobs", "2")
         assert pooled == first
 
+    def test_jobs_below_one_is_usage_error(self, capsys):
+        for jobs in ("0", "-3"):
+            code, _, err = run_cli(capsys, "verify", "--corpus", "Z2", "--jobs", jobs)
+            assert code == 1
+            assert "--jobs must be >= 1" in err
+
     def test_semicolon_corpus(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--corpus", "Z4;Z6",
                                "--format", "json", "--jobs", "1")

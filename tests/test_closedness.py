@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclosed.closedness import (
+    ClosednessProfile,
     analyze_coset,
+    closedness_profile,
     closedness_spectrum,
     extract_subgroup,
     is_n_closed,
@@ -27,7 +29,7 @@ from nclosed.errors import (
     PrefixNotInD,
     RepInSubgroup,
 )
-from nclosed.groups import Element, make_named
+from nclosed.groups import Element, FiniteGroup, make_named
 from nclosed.subsets import GSubset, Subgroup, is_subgroup, translate
 from nclosed.verify import multiplicative_semigroup
 
@@ -121,6 +123,52 @@ class TestOracle:
         if d.size ** n > 50_000:
             n = 2
         assert is_n_closed(d, n) == is_n_closed_oracle(d, n)
+
+
+def set_power_verdicts(struct, ids, n_max):
+    """{n: D^n <= D} for n in [2, n_max], powers built as Python sets."""
+    d = set(ids)
+    p = set(ids)
+    verdicts = {}
+    for n in range(2, n_max + 1):
+        p = {struct.mul(x, y) for x in p for y in d}
+        verdicts[n] = p <= d
+    return verdicts
+
+
+class TestClosednessProfile:
+    def test_z9_progression_is_periodic(self, z9):
+        profile = closedness_profile(GSubset.from_indices(z9, [1, 4, 7]))
+        assert profile == ClosednessProfile(start=2, period=3, closed=(4,))
+        assert [n for n in range(2, 15) if profile.is_closed(n)] == [4, 7, 10, 13]
+        assert profile.least == 4
+
+    def test_growing_group_power_stops_never_closed(self, s3):
+        d = GSubset.from_labels(s3, ["(1 3)", "(1 2 3)"])
+        profile = closedness_profile(d)
+        assert profile.least is None
+        assert not any(profile.is_closed(n) for n in range(2, 40))
+
+    def test_n_below_two_rejected(self, z4):
+        with pytest.raises(ValueError):
+            closedness_profile(GSubset.from_indices(z4, [0])).is_closed(1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_profile_matches_powers_oracle_and_scan(self, data, small_corpus):
+        structs = small_corpus + [multiplicative_semigroup(k) for k in (4, 6, 8, 10)]
+        g = data.draw(st.sampled_from(structs))
+        d = GSubset(g, data.draw(st.integers(1, (1 << g.order) - 1)))
+        profile = closedness_profile(d)
+        n_max = profile.start + profile.period + 3
+        verdicts = set_power_verdicts(g, d.indices(), n_max)
+        for n in range(2, n_max + 1):
+            assert profile.is_closed(n) == verdicts[n], n
+            if d.size ** n <= 20_000:
+                assert profile.is_closed(n) == is_n_closed_oracle(d, n), n
+        assert profile.least == min((n for n, ok in verdicts.items() if ok), default=None)
+        if isinstance(g, FiniteGroup):
+            assert profile.least == least_closed_scan(d, 2 * g.order + 1)
 
 
 class TestLeastClosedScan:

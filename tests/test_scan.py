@@ -8,7 +8,8 @@ from nclosed.closedness import least_exponent
 from nclosed.errors import GroupTooLargeForScan
 from nclosed.groups import Element
 from nclosed.parsing import parse_group_spec
-from nclosed.scan import _rebuild, run_scan
+from nclosed import scan, util
+from nclosed.scan import run_scan
 from nclosed.subsets import GSubset, Subgroup, coset_commutes, translate
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
@@ -59,12 +60,18 @@ class TestScanClassification:
         assert json.dumps(solo.to_json_dict(), sort_keys=True) == \
             json.dumps(pooled.to_json_dict(), sort_keys=True)
 
-    def test_worker_rebuild_keeps_the_group_name(self):
-        # seeded samples in workers derive from the group name
-        g = parse_group_spec("D7")
-        rebuilt = _rebuild(json.dumps(g.table_lists()), g.labels, g.name)
-        assert rebuilt.name == "D7"
-        assert rebuilt.table_lists() == g.table_lists()
+    def test_pool_is_capped_at_available_cpus(self, monkeypatch, serial_pool):
+        monkeypatch.setattr(util, "available_cpus", lambda: 3)
+        monkeypatch.setattr(scan, "ProcessPoolExecutor", serial_pool)
+        g = parse_group_spec("Z12")
+        pooled = run_scan(g, 6, seed=1, jobs=100_000)
+        assert serial_pool.sizes == [3, 12]  # three workers, four chunks each
+        assert pooled.entries == run_scan(g, 6, seed=1, jobs=1).entries
+
+    def test_jobs_below_one_rejected(self, z4):
+        for jobs in (0, -3):
+            with pytest.raises(ValueError):
+                run_scan(z4, 6, jobs=jobs)
 
 
 class TestReportSchemas:

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from nclosed import closedness
+from nclosed import closedness, util, verify
+from nclosed.cli import main
 from nclosed.errors import GroupTooLargeForScan
 from nclosed.parsing import parse_group_spec
 from nclosed.verify import (
@@ -87,6 +88,25 @@ class TestMutationDetection:
         for cert in certs:
             assert {"claim", "group", "labels", "table"} <= set(cert)
 
+    def test_wrong_profile_exits_2_with_replayable_certificates(
+            self, monkeypatch, capsys):
+        everywhere = closedness.ClosednessProfile(start=2, period=1, closed=(2,))
+        monkeypatch.setattr(closedness, "closedness_profile", lambda d: everywhere)
+        code = main(["verify", "--corpus", "S3", "--jobs", "1", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        monkeypatch.undo()
+        assert code == 2
+        certs = payload["claims"]["C2.2"]["violations"]
+        assert certs
+        from nclosed.groups import validate_cayley_table
+        from nclosed.subsets import GSubset
+        for cert in certs:
+            g = validate_cayley_table(cert["table"], cert["labels"])
+            d = GSubset.from_labels(g, cert["subset"])
+            # the real engine sides with the fast path the mutant contradicted
+            assert cert["detail"].endswith("fast path False")
+            assert not closedness.is_n_closed(d, cert["n"])
+
     def test_certificate_is_replayable(self, monkeypatch):
         monkeypatch.setattr(closedness, "is_n_closed", lambda d, n: True)
         report = run_verification(("S3",), seed=0)
@@ -99,6 +119,22 @@ class TestMutationDetection:
         if cert.get("subset") and cert.get("n"):
             d = GSubset.from_labels(g, cert["subset"])
             assert isinstance(closedness.is_n_closed(d, cert["n"]), bool)
+
+
+class TestPool:
+    def test_pool_is_capped_at_tasks_and_available_cpus(self, monkeypatch, serial_pool):
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", serial_pool)
+        monkeypatch.setattr(util, "available_cpus", lambda: 4)
+        specs = ("Z2", "Z3", "S3")
+        capped = run_verification(specs, jobs=100_000)
+        run_verification(specs + ("Z4", "Z5", "Z6"), jobs=100_000)
+        assert serial_pool.sizes == [3, 3, 4, 6]  # (workers, tasks) per run
+        assert capped.to_json_dict() == run_verification(specs, jobs=1).to_json_dict()
+
+    def test_jobs_below_one_rejected(self):
+        for jobs in (0, -3):
+            with pytest.raises(ValueError):
+                run_verification(("Z2",), jobs=jobs)
 
 
 class TestFixtures:
