@@ -19,9 +19,6 @@ from .subsets import (
     left_cosets,
 )
 
-# full engine confirmation of every coset below this order; sampling above
-_ENGINE_CHECK_ORDER_CAP = 64
-
 
 @dataclass(frozen=True)
 class CosetCheck:
@@ -65,13 +62,12 @@ def normal_iff_index_plus_one(h: Subgroup) -> NormalityVerdict:
             continue
         a = Element(g, rep)
         fast = coset_commutes(a, h) and g.pow(rep, n) in h
-        if g.order <= _ENGINE_CHECK_ORDER_CAP:
-            engine = closedness.is_n_closed(coset, n + 1)
-            if engine != fast:
-                violations.append(closedness.make_certificate(
-                    g, "index-plus-one", subgroup=h.carrier.labels(),
-                    rep=a.label, n=n + 1,
-                    detail=f"fast path {fast} but engine {engine}"))
+        engine = closedness.is_n_closed(coset, n + 1)
+        if engine != fast:
+            violations.append(closedness.make_certificate(
+                g, "index-plus-one", subgroup=h.carrier.labels(),
+                rep=a.label, n=n + 1,
+                detail=f"fast path {fast} but engine {engine}"))
         checks.append(CosetCheck(rep=rep, closedness_checked=n + 1, passed=fast))
     via = all(c.passed for c in checks)
     classic = is_normal_classic(h)
@@ -103,7 +99,6 @@ def normal_iff_existential(h: Subgroup) -> NormalityVerdict:
         witness: int | None = None
         if coset_commutes(a, h):
             witness = closedness.least_exponent(a, h) + 1
-        if witness is not None and g.order <= _ENGINE_CHECK_ORDER_CAP:
             if not closedness.is_n_closed(coset, witness):
                 violations.append(closedness.make_certificate(
                     g, "existential-witness", subgroup=h.carrier.labels(),

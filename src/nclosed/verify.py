@@ -20,6 +20,7 @@ from .errors import (
     AlreadyClosed,
     GroupTooLargeForScan,
     NotNClosed,
+    PrefixNotInD,
     TheoremViolation,
 )
 from .groups import Element, FiniteGroup, FiniteSemigroup, validate_semigroup_table
@@ -224,16 +225,23 @@ def sweep_semigroup_shifts(struct: FiniteSemigroup, seed: int = 0,
     violations: list[dict] = []
     for mask in range(1, 1 << struct.order):
         d = GSubset(struct, mask)
-        least = closedness.least_closed_scan(d, scan_max)
-        if least is None:
+        least = closedness.closedness_profile(d).least
+        if least is None or least > scan_max:
             continue
         n = max(least, 3)  # a 2-closed set is n-closed for every n
         ids = d.indices()
         rng = derived_rng(seed, "semigroup-prefix", struct.name, mask, n)
         for tup in closedness._prefix_tuples(ids, n - 2, rng):
-            shifted, ok = closedness.semigroup_shift_2closed(
-                d, n, [Element(struct, i) for i in tup])
             checked += 1
+            try:
+                shifted, ok = closedness.semigroup_shift_2closed(
+                    d, n, [Element(struct, i) for i in tup])
+            except (NotNClosed, PrefixNotInD) as exc:
+                violations.append(closedness.make_certificate(
+                    struct, "C2.1", subset=d.labels(), n=n,
+                    prefix=[struct.labels[i] for i in tup],
+                    detail=f"shift refused: {exc}"))
+                continue
             if not ok:
                 pair = closedness.n_closed_witness(shifted, 2)
                 violations.append(closedness.make_certificate(

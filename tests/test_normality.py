@@ -1,5 +1,6 @@
 import pytest
 
+from nclosed import closedness
 from nclosed.closedness import is_n_closed, least_exponent
 from nclosed.errors import NotProperSubgroup
 from nclosed.groups import Element
@@ -121,3 +122,14 @@ class TestKnownNegatives:
                     if rep in h:
                         continue
                     assert g.pow(rep, n) in h
+
+
+class TestEngineConfirmation:
+    def test_every_coset_confirmed_above_order_64(self, monkeypatch):
+        g = parse_group_spec("D35")
+        assert g.order > 64
+        rotations = Subgroup.from_labels(g, [f"r{i}" for i in range(35)])
+        real = closedness.is_n_closed
+        monkeypatch.setattr(closedness, "is_n_closed", lambda d, n: not real(d, n))
+        assert normal_iff_index_plus_one(rotations).violations
+        assert normal_iff_existential(rotations).violations

@@ -10,6 +10,7 @@ from nclosed.subsets import (
     GSubset,
     Subgroup,
     all_subgroups,
+    closure_mask,
     coset_commutes,
     generated_subgroup,
     index,
@@ -20,6 +21,7 @@ from nclosed.subsets import (
     proper_subgroups,
     translate,
 )
+from nclosed.verify import multiplicative_semigroup
 
 
 def brute_product(g, a_ids, b_ids):
@@ -219,6 +221,9 @@ class TestSubgroupEnumeration:
         ("S3", 6), ("Q8", 6), ("Z12", 6), ("D4", 10),
         ("perm(4): (1 2 3), (2 3 4)", 10),   # alternating group on 4 points
         ("S4", 30),
+        ("perm(5): (1 2 3), (1 2 3 4 5)", 59),   # alternating group on 5 points
+        ("D24", 68), ("D30", 80), ("Z2xS4", 98), ("S5", 156),
+        ("Z2xZ2xZ2xZ2", 67),
     ])
     def test_known_subgroup_counts(self, spec, count):
         from nclosed.parsing import parse_group_spec
@@ -237,6 +242,33 @@ class TestSubgroupEnumeration:
         subs = all_subgroups(g)
         # 1 trivial + 7 of order 2 + 7 of order 4 + 1 whole = 16
         assert len(subs) == 16
+
+    def test_equals_every_subset_that_is_a_subgroup(self, small_corpus):
+        for g in small_corpus:
+            masks = sorted(range(1, 1 << g.order), key=lambda m: (m.bit_count(), m))
+            expected = [m for m in masks if is_subgroup(GSubset(g, m))]
+            assert [s.mask for s in all_subgroups(g)] == expected, g.name
+
+
+def pairwise_closure(struct, seeds):
+    """Fixpoint of adding all pairwise products, with Python sets."""
+    reached = set(seeds)
+    while True:
+        more = {struct.mul(x, y) for x in reached for y in reached} - reached
+        if not more:
+            return reached
+        reached |= more
+
+
+class TestClosureMask:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_pairwise_product_fixpoint(self, data, small_corpus):
+        structs = small_corpus + [multiplicative_semigroup(k) for k in range(1, 11)]
+        g = data.draw(st.sampled_from(structs))
+        seeds = data.draw(st.lists(st.integers(0, g.order - 1), max_size=5))
+        expected = sum(1 << x for x in pairwise_closure(g, seeds))
+        assert closure_mask(g, seeds) == expected
 
 
 class TestLabelResolution:

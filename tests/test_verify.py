@@ -1,5 +1,7 @@
 import json
+from pathlib import Path
 
+import jsonschema
 import pytest
 
 from nclosed import closedness, util, verify
@@ -106,6 +108,25 @@ class TestMutationDetection:
             # the real engine sides with the fast path the mutant contradicted
             assert cert["detail"].endswith("fast path False")
             assert not closedness.is_n_closed(d, cert["n"])
+
+    def test_engine_fault_in_semigroup_sweep_exits_2(self, monkeypatch, capsys):
+        real = closedness.is_n_closed
+        monkeypatch.setattr(closedness, "is_n_closed", lambda d, n: not real(d, n))
+        code = main(["verify", "--corpus", "S3", "--jobs", "1", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        monkeypatch.undo()
+        assert code == 2
+        schema = Path(__file__).resolve().parents[1] / "docs" / "schemas" / "verify.schema.json"
+        jsonschema.validate(payload, json.loads(schema.read_text()))
+        certs = payload["claims"]["C2.1"]["violations"]
+        assert certs
+        from nclosed.groups import validate_semigroup_table
+        from nclosed.subsets import GSubset
+        for cert in certs:
+            s = validate_semigroup_table(cert["table"], cert["labels"])
+            d = GSubset.from_labels(s, cert["subset"])
+            assert len(cert["prefix"]) == cert["n"] - 2
+            assert real(d, cert["n"])
 
     def test_certificate_is_replayable(self, monkeypatch):
         monkeypatch.setattr(closedness, "is_n_closed", lambda d, n: True)
