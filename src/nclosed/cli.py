@@ -23,7 +23,6 @@ from .subsets import (
     generated_subgroup,
     index,
     is_normal_classic,
-    translate,
 )
 from .util import available_cpus
 from .verify import DEFAULT_CORPUS, run_verification
@@ -134,17 +133,15 @@ def cmd_coset(args) -> int:
     h = generated_subgroup(parse_subset_spec(args.subgroup, g).elements())
     a = _single_element(g, args.rep)
     report = closedness.analyze_coset(a, h, seed=args.seed)
-    coset = translate(a, h.carrier, "left")
-    verify_up_to = args.max_n if args.max_n is not None else 20
 
     spectrum = None
     if report.commutes:
-        desc = closedness.closedness_spectrum(a, h, verify_up_to=verify_up_to)
+        desc = closedness.closedness_spectrum(report, verify_up_to=args.max_n)
         spectrum = {"step": desc.step, "offset": desc.offset,
                     "verified_up_to": desc.verified_up_to}
     power = None
     if args.power is not None:
-        pc, k2 = closedness.power_coset_closedness(a, h, args.power)
+        pc, k2 = closedness.power_coset_closedness(report, args.power)
         power = {"m": args.power, "coset": pc.labels(), "closedness": k2}
 
     payload = {
@@ -152,7 +149,7 @@ def cmd_coset(args) -> int:
         "group": g.name,
         "subgroup": h.carrier.labels(),
         "rep": a.label,
-        "coset": coset.labels(),
+        "coset": report.coset.labels(),
         "commutes": report.commutes,
         "least_exponent": report.least_exponent,
         "least_closedness": report.least_closedness,
@@ -167,13 +164,13 @@ def cmd_coset(args) -> int:
         print(f"group {g.name} (order {g.order})")
         print(f"subgroup H = {_subset_str(h.carrier.labels())} "
               f"(order {h.order}, index {index(h)})")
-        print(f"coset L = {a.label}*H = {_subset_str(coset.labels())}")
+        print(f"coset L = {a.label}*H = {_subset_str(report.coset.labels())}")
         print(f"aH = Ha: {'yes' if report.commutes else 'no'}")
         print(f"least exponent t = {t}")
         if report.commutes:
             print(f"least closedness k = {report.least_closedness}")
             print(f"spectrum: m ≡ 1 (mod {t}), m ≥ {t + 1} "
-                  f"(verified to {verify_up_to})")
+                  f"(verified to {args.max_n})")
         else:
             print("never m-closed (aH ≠ Ha)")
         if power is not None:
@@ -256,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep", required=True, help="coset representative label")
     p.add_argument("--power", type=int, default=None,
                    help="also analyze the power coset rep^m*H")
-    p.add_argument("--max-n", type=int, default=None,
+    p.add_argument("--max-n", type=int, default=20,
                    help="verify the spectrum up to this m (default 20)")
     p.set_defaults(func=cmd_coset)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd
 from typing import Iterator, Sequence
 
@@ -36,7 +37,6 @@ from .groups import Element, FiniteGroup, FiniteSemigroup, same_structure
 from .subsets import (
     GSubset,
     Subgroup,
-    coset_commutes,
     is_subgroup,
     translate_mask_left,
     translate_mask_right,
@@ -223,15 +223,23 @@ def least_exponent(a: Element, h: Subgroup) -> int:
 
 @dataclass(frozen=True)
 class CosetReport:
-    """Full analysis of one left coset L = a*H."""
+    """Full analysis of one left coset L = a*H, read by every coset check."""
 
     rep: Element
     subgroup: Subgroup
+    coset: GSubset
     commutes: bool
     least_exponent: int
-    least_closedness: int | None
-    spectrum_step: int | None
+    profile: ClosednessProfile
     violations: tuple[dict, ...] = ()
+
+    @property
+    def least_closedness(self) -> int | None:
+        return self.least_exponent + 1 if self.commutes else None
+
+    @property
+    def spectrum_step(self) -> int | None:
+        return self.least_exponent if self.commutes else None
 
 
 def _prefix_tuples(ids: Sequence[int], length: int, rng) -> list[tuple[int, ...]]:
@@ -242,7 +250,7 @@ def _prefix_tuples(ids: Sequence[int], length: int, rng) -> list[tuple[int, ...]
 
 
 def analyze_coset(a: Element, h: Subgroup, *, seed: int = 0) -> CosetReport:
-    """Commuting flag, least exponent t, and least closedness t+1 of a*H.
+    """Commuting flag, least exponent t, and closedness profile of L = a*H.
 
     While computing, re-verifies that every b in L translates H onto L from
     both sides, and that length-(t-1) prefix products from L map L back onto
@@ -255,15 +263,14 @@ def analyze_coset(a: Element, h: Subgroup, *, seed: int = 0) -> CosetReport:
     if a.index in h:
         raise RepInSubgroup(f"representative {a.label} lies in the subgroup")
     lmask = translate_mask_left(g, a.index, h.mask)
+    coset = GSubset(g, lmask)
     commutes = lmask == translate_mask_right(g, h.mask, a.index)
     t = least_exponent(a, h)
     violations: list[dict] = []
-    least_closedness = None
     if commutes:
-        least_closedness = t + 1
-        h_labels = [g.labels[i] for i in iter_bits(h.mask)]
-        coset_labels = [g.labels[i] for i in iter_bits(lmask)]
-        for b in iter_bits(lmask):
+        h_labels = h.carrier.labels()
+        lids = coset.indices()
+        for b in lids:
             if (translate_mask_left(g, b, h.mask) != lmask
                     or translate_mask_right(g, h.mask, b) != lmask):
                 violations.append(make_certificate(
@@ -276,7 +283,6 @@ def analyze_coset(a: Element, h: Subgroup, *, seed: int = 0) -> CosetReport:
             violations.append(make_certificate(
                 g, "coset-shift", subgroup=h_labels, rep=a.label,
                 n=t + 1, detail="a^(k-2)*L = L*a^(k-2) = H fails"))
-        lids = list(iter_bits(lmask))
         rng = derived_rng(seed, "coset-prefix", g.name, h.mask, a.index)
         for tup in _prefix_tuples(lids, t - 1, rng):
             p = tup[0]
@@ -286,15 +292,15 @@ def analyze_coset(a: Element, h: Subgroup, *, seed: int = 0) -> CosetReport:
                     or translate_mask_right(g, lmask, p) != h.mask):
                 violations.append(make_certificate(
                     g, "coset-prefix", subgroup=h_labels, rep=a.label,
-                    subset=coset_labels, witness=[g.labels[i] for i in tup],
+                    subset=coset.labels(), witness=[g.labels[i] for i in tup],
                     detail="prefix product fails to map L back onto H"))
     return CosetReport(
         rep=a,
         subgroup=h,
+        coset=coset,
         commutes=commutes,
         least_exponent=t,
-        least_closedness=least_closedness,
-        spectrum_step=t if commutes else None,
+        profile=closedness_profile(coset),
         violations=tuple(violations),
     )
 
@@ -311,16 +317,16 @@ class SpectrumDescription:
         return m >= 2 and (m - self.offset) % self.step == 0
 
 
-def closedness_spectrum(a: Element, h: Subgroup, verify_up_to: int = 20) -> SpectrumDescription:
-    """Spectrum of a*H with the predicate checked against the engine."""
-    if not coset_commutes(a, h):
+def closedness_spectrum(report: CosetReport, verify_up_to: int = 20) -> SpectrumDescription:
+    """Spectrum of a commuting coset, checked against its engine profile."""
+    a, h = report.rep, report.subgroup
+    if not report.commutes:
         raise NonCommutingCoset(f"{a.label}*H != H*{a.label}")
     g = h.owner
-    t = least_exponent(a, h)
-    profile = closedness_profile(GSubset(g, translate_mask_left(g, a.index, h.mask)))
-    spectrum = SpectrumDescription(step=t, offset=1, verified_up_to=verify_up_to)
+    spectrum = SpectrumDescription(step=report.least_exponent, offset=1,
+                                   verified_up_to=verify_up_to)
     for m in range(2, verify_up_to + 1):
-        if profile.is_closed(m) != spectrum.contains(m):
+        if report.profile.is_closed(m) != spectrum.contains(m):
             raise TheoremViolation(
                 f"spectrum predicate disagrees with the engine at m={m}",
                 make_certificate(g, "spectrum", subgroup=h.carrier.labels(),
@@ -328,7 +334,7 @@ def closedness_spectrum(a: Element, h: Subgroup, verify_up_to: int = 20) -> Spec
     return spectrum
 
 
-def least_power_exponent(a: Element, h: Subgroup, m: int) -> int:
+def least_power_exponent(report: CosetReport, m: int) -> int:
     """Least c with (a^m)^c in H, by the formula c = t/gcd(m, t).
 
     t is the least positive exponent landing a in H. The formula value is
@@ -337,8 +343,9 @@ def least_power_exponent(a: Element, h: Subgroup, m: int) -> int:
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    a, h = report.rep, report.subgroup
     g = h.owner
-    t = least_exponent(a, h)
+    t = report.least_exponent
     c = t // gcd(m, t)
     base = g.pow(a.index, m)
     hmask = h.mask
@@ -363,7 +370,7 @@ def least_power_exponent(a: Element, h: Subgroup, m: int) -> int:
     return c
 
 
-def power_coset_closedness(a: Element, h: Subgroup, m: int) -> tuple[GSubset, int]:
+def power_coset_closedness(report: CosetReport, m: int) -> tuple[GSubset, int]:
     """The coset a^m*H with its least closedness (t/gcd(m,t)) + 1.
 
     Requires a commuting representative outside H. The engine's least
@@ -373,13 +380,14 @@ def power_coset_closedness(a: Element, h: Subgroup, m: int) -> tuple[GSubset, in
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    g = h.owner
-    if not coset_commutes(a, h):
+    a, h = report.rep, report.subgroup
+    if not report.commutes:
         raise NonCommutingCoset(f"{a.label}*H != H*{a.label}")
-    t = least_exponent(a, h)
+    g = h.owner
+    t = report.least_exponent
     c = t // gcd(m, t)
     coset = GSubset(g, translate_mask_left(g, g.pow(a.index, m), h.mask))
-    profile = closedness_profile(coset)
+    profile = closedness_profile(coset)  # a^m*H is another coset, with its own profile
     cert_base = dict(subgroup=h.carrier.labels(), rep=a.label, m=m)
     if profile.least != c + 1:
         raise TheoremViolation(
@@ -469,26 +477,30 @@ def extract_subgroup(d: GSubset, n: int, *, seed: int = 0) -> SubgroupExtraction
     )
 
 
-def semigroup_shift_2closed(d: GSubset, n: int, prefix: Sequence[Element]) -> tuple[GSubset, bool]:
-    """Shift an n-closed semigroup subset by a prefix; report 2-closedness.
+def semigroup_shift_2closed(d: GSubset, n: int, prefixes: Sequence[Sequence[Element]]
+                            ) -> list[tuple[GSubset, bool]]:
+    """Shift an n-closed semigroup subset by each prefix; report 2-closedness.
 
-    A False second component would contradict the shift-set theorem and is
-    treated as a violation by callers.
+    D's n-closedness is decided once, and each distinct shift set p*D (p the
+    prefix product) once. A False second component would contradict the
+    shift-set theorem and is treated as a violation by callers.
     """
     if n < 3:
         raise ValueError(f"shift requires n >= 3, got {n}")
     _require_nonempty(d)
     struct = d.owner
-    if len(prefix) != n - 2:
-        raise ValueError(f"prefix must have length n-2 = {n - 2}, got {len(prefix)}")
-    same_structure(struct, *(x.owner for x in prefix))
-    for x in prefix:
-        if x.index not in d:
-            raise PrefixNotInD(f"prefix element {x.label} is not in the subset")
+    for prefix in prefixes:
+        if len(prefix) != n - 2:
+            raise ValueError(f"prefix must have length n-2 = {n - 2}, got {len(prefix)}")
+        same_structure(struct, *(x.owner for x in prefix))
+        for x in prefix:
+            if x.index not in d:
+                raise PrefixNotInD(f"prefix element {x.label} is not in the subset")
     if not is_n_closed(d, n):
         raise NotNClosed(f"subset is not {n}-closed")
-    p = prefix[0].index
-    for x in prefix[1:]:
-        p = struct.mul(p, x.index)
-    shifted = GSubset(struct, translate_mask_left(struct, p, d.mask))
-    return shifted, is_n_closed(shifted, 2)
+    products = [reduce(struct.mul, (x.index for x in prefix)) for prefix in prefixes]
+    shifts = {}
+    for p in dict.fromkeys(products):
+        shifted = GSubset(struct, translate_mask_left(struct, p, d.mask))
+        shifts[p] = (shifted, is_n_closed(shifted, 2))
+    return [shifts[p] for p in products]

@@ -222,9 +222,8 @@ class FiniteGroup(FiniteSemigroup):
         return self._perm_index.get(perm) if self._perm_index else None
 
     def is_abelian(self) -> bool:
-        rows = self._rows
-        return all(rows[a][b] == rows[b][a]
-                   for a in range(self.order) for b in range(a + 1, self.order))
+        t = self.table_array()
+        return bool((t == t.T).all())
 
 
 def same_structure(*objs) -> None:
@@ -496,9 +495,19 @@ def dump_cayley_table(struct: FiniteSemigroup, path) -> None:
 
 
 def structure_orders(group: FiniteGroup) -> dict[int, int]:
-    """Histogram of element orders, an order-multiset isomorphism heuristic."""
+    """Histogram of element orders, an order-multiset isomorphism heuristic.
+
+    Walks x -> x*a for every a at once; a leaves the walk when x reaches the
+    identity, after as many steps as its order."""
+    t = group.table_array()
+    a = x = np.arange(group.order)
     hist: dict[int, int] = {}
-    for i in range(group.order):
-        k = group.order_of(i)
-        hist[k] = hist.get(k, 0) + 1
+    k = 1
+    while a.size:
+        done = x == group.identity
+        if done.any():
+            hist[k] = int(done.sum())
+        a, x = a[~done], x[~done]
+        x = t[x, a]
+        k += 1
     return hist

@@ -28,12 +28,10 @@ from .parsing import parse_group_spec
 from .subsets import (
     GSubset,
     Subgroup,
-    coset_commutes,
     left_cosets,
     proper_subgroups,
-    translate_mask_left,
 )
-from .util import derived_rng, iter_bits, worker_count
+from .util import derived_rng, worker_count
 
 DEFAULT_CORPUS: tuple[str, ...] = (
     "Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z9", "Z10", "Z11", "Z12",
@@ -49,6 +47,11 @@ SEMIGROUP_FIXTURE_MODULI: tuple[int, ...] = (4, 5, 6, 7, 8, 9, 10)
 
 VERIFY_ORDER_CAP = 24
 EXHAUSTIVE_SUBSET_ORDER_CAP = 10
+
+COSET_N_RANGE = range(3, 11)  # the n at which C2.2 and T2.2.1 read a coset's profile
+EXTRACTION_NS = (3, 4, 5)
+SEMIGROUP_SCAN_MAX = 8
+CROSS_CHECK_RANDOM_PAIRS = 360
 
 CLAIMS: dict[str, str] = {
     "T2.1": "shift sets of a finite n-closed non-2-closed subset form one common subgroup",
@@ -150,19 +153,14 @@ def multiplicative_semigroup(k: int) -> FiniteSemigroup:
 # run_verification and the acceptance suite
 
 
-def cor22_coset_checks(g: FiniteGroup, h: Subgroup, rep: int,
-                       n_range=range(3, 11)) -> tuple[int, list[dict]]:
-    """Engine n-closedness of rep*H against (aH = Ha and a^(n-1) in H)."""
-    a = Element(g, rep)
-    coset = GSubset(g, translate_mask_left(g, rep, h.mask))
-    commutes = coset_commutes(a, h)
-    profile = closedness.closedness_profile(coset)
-    checked = 0
+def cor22_coset_checks(report: closedness.CosetReport) -> tuple[int, list[dict]]:
+    """Engine n-closedness of a*H against (aH = Ha and a^(n-1) in H)."""
+    h, a, coset = report.subgroup, report.rep, report.coset
+    g = h.owner
     violations = []
-    for n in n_range:
-        engine = profile.is_closed(n)
-        fast = commutes and g.pow(rep, n - 1) in h
-        checked += 1
+    for n in COSET_N_RANGE:
+        engine = report.profile.is_closed(n)
+        fast = report.commutes and g.pow(a.index, n - 1) in h
         if engine != fast:
             witness = None if engine else closedness.n_closed_witness(coset, n)
             violations.append(closedness.make_certificate(
@@ -170,7 +168,7 @@ def cor22_coset_checks(g: FiniteGroup, h: Subgroup, rep: int,
                 subset=coset.labels(),
                 witness=None if witness is None else [g.labels[i] for i in witness],
                 detail=f"engine {engine} but fast path {fast}"))
-    return checked, violations
+    return len(COSET_N_RANGE), violations
 
 
 def sweep_cor22(groups) -> tuple[int, list[dict]]:
@@ -178,17 +176,17 @@ def sweep_cor22(groups) -> tuple[int, list[dict]]:
     violations: list[dict] = []
     for g in groups:
         for h in proper_subgroups(g):
-            partition = left_cosets(h)
-            for rep in partition.representatives:
+            for rep in left_cosets(h).representatives:
                 if rep in h:
                     continue
-                c, v = cor22_coset_checks(g, h, rep)
+                c, v = cor22_coset_checks(
+                    closedness.analyze_coset(Element(g, rep), h))
                 checked += c
                 violations.extend(v)
     return checked, violations
 
 
-def sweep_extraction(g: FiniteGroup, ns=(3, 4, 5), seed: int = 0) -> tuple[int, list[dict]]:
+def sweep_extraction(g: FiniteGroup, seed: int = 0) -> tuple[int, list[dict]]:
     """Exhaustive subset scan: every n-closed non-2-closed D must extract."""
     if g.order > 14:
         raise GroupTooLargeForScan(
@@ -200,7 +198,7 @@ def sweep_extraction(g: FiniteGroup, ns=(3, 4, 5), seed: int = 0) -> tuple[int, 
         profile = closedness.closedness_profile(d)
         if profile.is_closed(2):
             continue
-        for n in ns:
+        for n in EXTRACTION_NS:
             if not profile.is_closed(n):
                 continue
             checked += 1
@@ -215,8 +213,7 @@ def sweep_extraction(g: FiniteGroup, ns=(3, 4, 5), seed: int = 0) -> tuple[int, 
     return checked, violations
 
 
-def sweep_semigroup_shifts(struct: FiniteSemigroup, seed: int = 0,
-                           scan_max: int = 8) -> tuple[int, list[dict]]:
+def sweep_semigroup_shifts(struct: FiniteSemigroup, seed: int = 0) -> tuple[int, list[dict]]:
     """Shift sets of every n-closed subset of a semigroup must be 2-closed."""
     if struct.order > 10:
         raise GroupTooLargeForScan(
@@ -226,22 +223,22 @@ def sweep_semigroup_shifts(struct: FiniteSemigroup, seed: int = 0,
     for mask in range(1, 1 << struct.order):
         d = GSubset(struct, mask)
         least = closedness.closedness_profile(d).least
-        if least is None or least > scan_max:
+        if least is None or least > SEMIGROUP_SCAN_MAX:
             continue
         n = max(least, 3)  # a 2-closed set is n-closed for every n
-        ids = d.indices()
         rng = derived_rng(seed, "semigroup-prefix", struct.name, mask, n)
-        for tup in closedness._prefix_tuples(ids, n - 2, rng):
-            checked += 1
-            try:
-                shifted, ok = closedness.semigroup_shift_2closed(
-                    d, n, [Element(struct, i) for i in tup])
-            except (NotNClosed, PrefixNotInD) as exc:
-                violations.append(closedness.make_certificate(
-                    struct, "C2.1", subset=d.labels(), n=n,
-                    prefix=[struct.labels[i] for i in tup],
-                    detail=f"shift refused: {exc}"))
-                continue
+        tuples = closedness._prefix_tuples(d.indices(), n - 2, rng)
+        checked += len(tuples)
+        try:
+            shifts = closedness.semigroup_shift_2closed(
+                d, n, [[Element(struct, i) for i in tup] for tup in tuples])
+        except (NotNClosed, PrefixNotInD) as exc:
+            violations.extend(closedness.make_certificate(
+                struct, "C2.1", subset=d.labels(), n=n,
+                prefix=[struct.labels[i] for i in tup],
+                detail=f"shift refused: {exc}") for tup in tuples)
+            continue
+        for shifted, ok in shifts:
             if not ok:
                 pair = closedness.n_closed_witness(shifted, 2)
                 violations.append(closedness.make_certificate(
@@ -251,7 +248,7 @@ def sweep_semigroup_shifts(struct: FiniteSemigroup, seed: int = 0,
     return checked, violations
 
 
-def cross_check_engine_oracle(seed: int = 0, random_pairs: int = 360) -> tuple[int, list[dict]]:
+def cross_check_engine_oracle(seed: int = 0) -> tuple[int, list[dict]]:
     """Engine vs explicit tuple enumeration on exhaustive + seeded pairs."""
     small = [parse_group_spec(s) for s in ("Z2", "Z3", "Z4", "Z2xZ2")]
     larger = [parse_group_spec(s)
@@ -279,7 +276,7 @@ def cross_check_engine_oracle(seed: int = 0, random_pairs: int = 360) -> tuple[i
                 run_pair(g, mask, n)
     rng = derived_rng(seed, "cross-checks")
     done = 0
-    while done < random_pairs:
+    while done < CROSS_CHECK_RANDOM_PAIRS:
         g = larger[rng.randrange(len(larger))]
         mask = rng.randrange(1, 1 << g.order)
         n = rng.randint(2, 5)
@@ -298,9 +295,8 @@ def cross_check_engine_oracle(seed: int = 0, random_pairs: int = 360) -> tuple[i
 
 def _check_coset(g: FiniteGroup, h: Subgroup, rep: int, seed: int,
                  tallies: dict[str, ClaimTally]) -> None:
-    a = Element(g, rep)
-    report = closedness.analyze_coset(a, h, seed=seed)
-    coset = GSubset(g, translate_mask_left(g, rep, h.mask))
+    report = closedness.analyze_coset(Element(g, rep), h, seed=seed)
+    a = report.rep
     t = report.least_exponent
     h_labels = h.carrier.labels()
 
@@ -312,18 +308,17 @@ def _check_coset(g: FiniteGroup, h: Subgroup, rep: int, seed: int,
             tallies[key].violations.append(cert)
 
     # C2.2 plus the consequences for whichever n the engine accepts
-    checked, violations = cor22_coset_checks(g, h, rep)
+    checked, violations = cor22_coset_checks(report)
     tallies["C2.2"].checked += checked
     tallies["C2.2"].violations.extend(violations)
 
-    profile = closedness.closedness_profile(coset)
     tallies["T2.2.1"].checked += 1
-    if profile.is_closed(2):
+    if report.profile.is_closed(2):
         tallies["T2.2.1"].violations.append(closedness.make_certificate(
             g, "T2.2.1", subgroup=h_labels, rep=a.label, n=2,
             detail="a proper coset can never be 2-closed"))
-    for n in range(3, 11):
-        if profile.is_closed(n):
+    for n in COSET_N_RANGE:
+        if report.profile.is_closed(n):
             tallies["T2.2.1"].checked += 1
             if g.pow(rep, n - 1) not in h:
                 tallies["T2.2.1"].violations.append(closedness.make_certificate(
@@ -341,31 +336,29 @@ def _check_coset(g: FiniteGroup, h: Subgroup, rep: int, seed: int,
                 g, "T2.2.4", subgroup=h_labels, rep=a.label, m=m,
                 detail=f"a^m in H disagrees with t | m for t={t}"))
     if report.commutes:
-        for b in iter_bits(coset.mask):
+        for b in report.coset.indices():
             tb = closedness.least_exponent(Element(g, b), h)
             if tb != t:
                 tallies["T2.2.4"].violations.append(closedness.make_certificate(
                     g, "T2.2.4", subgroup=h_labels, rep=a.label,
                     witness=g.labels[b],
                     detail=f"least exponent {tb} differs from {t} inside the coset"))
-
-    if report.commutes:
         tallies["T2.2.5"].checked += 1
         try:
-            closedness.closedness_spectrum(a, h, verify_up_to=20)
+            closedness.closedness_spectrum(report)
         except TheoremViolation as exc:
             tallies["T2.2.5"].violations.append(exc.certificate)
 
     for m in range(1, 2 * t + 1):
         tallies["L2.1"].checked += 1
         try:
-            closedness.least_power_exponent(a, h, m)
+            closedness.least_power_exponent(report, m)
         except TheoremViolation as exc:
             tallies["L2.1"].violations.append(exc.certificate)
         if report.commutes:
             tallies["T2.3"].checked += 1
             try:
-                closedness.power_coset_closedness(a, h, m)
+                closedness.power_coset_closedness(report, m)
             except TheoremViolation as exc:
                 tallies["T2.3"].violations.append(exc.certificate)
 
@@ -399,17 +392,8 @@ def _check_subgroup(g: FiniteGroup, h: Subgroup, seed: int,
             g, "T3.1", subgroup=h_labels,
             detail=f"classic {verdict.verdict_classic} vs "
                    f"existential {verdict.verdict_via_closedness}"))
-    for check in verdict.per_coset:
-        if check.closedness_checked is not None:
-            t = closedness.least_exponent(Element(g, check.rep), h)
-            if (check.closedness_checked - 1) % t != 0:
-                tallies["T3.1"].violations.append(closedness.make_certificate(
-                    g, "T3.1", subgroup=h_labels, rep=g.labels[check.rep],
-                    n=check.closedness_checked,
-                    detail="witness m with m-1 not divisible by the least exponent"))
 
-    partition = left_cosets(h)
-    for rep in partition.representatives:
+    for rep in left_cosets(h).representatives:
         if rep in h:
             continue
         _check_coset(g, h, rep, seed, tallies)
@@ -418,15 +402,11 @@ def _check_subgroup(g: FiniteGroup, h: Subgroup, seed: int,
 def _verify_group_task(args: tuple[str, int]) -> dict[str, ClaimTally]:
     spec, seed = args
     g = parse_group_spec(spec)
-    if g.order > VERIFY_ORDER_CAP:
-        raise GroupTooLargeForScan(
-            f"verify enumerates subgroups only up to order {VERIFY_ORDER_CAP}, "
-            f"got {g.name} of order {g.order}")
     tallies = _new_tallies()
     for h in proper_subgroups(g):
         _check_subgroup(g, h, seed, tallies)
     if g.order <= EXHAUSTIVE_SUBSET_ORDER_CAP:
-        checked, violations = sweep_extraction(g, ns=(3, 4, 5), seed=seed)
+        checked, violations = sweep_extraction(g, seed=seed)
         for cid in ("T2.1", "C2.01"):
             tallies[cid].checked += checked
             tallies[cid].violations.extend(

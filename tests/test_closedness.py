@@ -233,14 +233,36 @@ class TestAnalyzeCoset:
                         continue
                     r = analyze_coset(Element(g, rep), h)
                     assert r.least_exponent >= 2
+                    assert r.coset == translate(Element(g, rep), h.carrier, "left")
+                    assert r.profile == closedness_profile(r.coset)
                     if r.commutes:
                         assert r.least_closedness == r.least_exponent + 1 >= 3
+
+    def test_coset_checks_read_the_report(self, z9, monkeypatch):
+        from nclosed import closedness
+        from nclosed.verify import cor22_coset_checks
+        h = Subgroup.from_indices(z9, [0, 3, 6])
+        report = analyze_coset(Element(z9, 1), h)
+        profiled = []
+
+        def profiling(d):
+            profiled.append(d.mask)
+            return closedness_profile(d)
+
+        monkeypatch.setattr(closedness, "least_exponent", None)  # a call would raise
+        monkeypatch.setattr(closedness, "closedness_profile", profiling)
+        closedness_spectrum(report)
+        least_power_exponent(report, 2)
+        cor22_coset_checks(report)
+        assert profiled == []
+        coset, _ = power_coset_closedness(report, 2)
+        assert profiled == [coset.mask]  # the power coset a^2*H only, never a*H
 
 
 class TestSpectrum:
     def test_z9_spectrum(self, z9):
         h = Subgroup.from_indices(z9, [0, 3, 6])
-        desc = closedness_spectrum(Element(z9, 1), h, verify_up_to=20)
+        desc = closedness_spectrum(analyze_coset(Element(z9, 1), h), verify_up_to=20)
         hits = [m for m in range(2, 21) if desc.contains(m)]
         assert hits == [4, 7, 10, 13, 16, 19]
         coset = translate(Element(z9, 1), h.carrier, "left")
@@ -248,14 +270,14 @@ class TestSpectrum:
 
     def test_z4_spectrum_odd(self, z4):
         h = Subgroup.from_indices(z4, [0, 2])
-        desc = closedness_spectrum(Element(z4, 1), h, verify_up_to=15)
+        desc = closedness_spectrum(analyze_coset(Element(z4, 1), h), verify_up_to=15)
         assert [m for m in range(2, 16) if desc.contains(m)] == \
             [3, 5, 7, 9, 11, 13, 15]
 
     def test_non_commuting_rejected(self, s3):
         h = Subgroup.from_labels(s3, ["e", "(1 2)"])
         with pytest.raises(NonCommutingCoset):
-            closedness_spectrum(Element(s3, s3.index_of_label("(1 3)")), h)
+            closedness_spectrum(analyze_coset(Element(s3, s3.index_of_label("(1 3)")), h))
 
 
 class TestLeastPowerExponent:
@@ -263,9 +285,10 @@ class TestLeastPowerExponent:
         h = Subgroup.from_indices(z12, [0, 6])
         a = Element(z12, 1)
         assert least_exponent(a, h) == 6
-        assert least_power_exponent(a, h, 4) == 3
-        assert least_power_exponent(a, h, 6) == 1
-        assert least_power_exponent(a, h, 5) == 6
+        r = analyze_coset(a, h)
+        assert least_power_exponent(r, 4) == 3
+        assert least_power_exponent(r, 6) == 1
+        assert least_power_exponent(r, 5) == 6
 
     def test_matches_direct_search_everywhere(self, small_corpus):
         from nclosed.subsets import left_cosets, proper_subgroups
@@ -276,8 +299,9 @@ class TestLeastPowerExponent:
                         continue
                     a = Element(g, rep)
                     t = least_exponent(a, h)
+                    r = analyze_coset(a, h)
                     for m in range(1, 2 * t + 1):
-                        c = least_power_exponent(a, h, m)
+                        c = least_power_exponent(r, m)
                         # independent oracle: walk powers of a^m directly
                         base = g.pow(rep, m)
                         x, direct = base, 1
@@ -290,26 +314,27 @@ class TestLeastPowerExponent:
 class TestPowerCoset:
     def test_z9_m2(self, z9):
         h = Subgroup.from_indices(z9, [0, 3, 6])
-        coset, k = power_coset_closedness(Element(z9, 1), h, 2)
+        coset, k = power_coset_closedness(analyze_coset(Element(z9, 1), h), 2)
         assert coset.indices() == [2, 5, 8]
         assert k == 4
 
     def test_z9_m3_collapses_to_subgroup(self, z9):
         h = Subgroup.from_indices(z9, [0, 3, 6])
-        coset, k = power_coset_closedness(Element(z9, 1), h, 3)
+        coset, k = power_coset_closedness(analyze_coset(Element(z9, 1), h), 3)
         assert coset.indices() == [0, 3, 6]
         assert k == 2
 
     def test_z12_m2(self, z12):
         h = Subgroup.from_indices(z12, [0, 6])
-        coset, k = power_coset_closedness(Element(z12, 1), h, 2)
+        coset, k = power_coset_closedness(analyze_coset(Element(z12, 1), h), 2)
         assert coset.indices() == [2, 8]
         assert k == 4
 
     def test_non_commuting_rejected(self, s3):
         h = Subgroup.from_labels(s3, ["e", "(1 2)"])
         with pytest.raises(NonCommutingCoset):
-            power_coset_closedness(Element(s3, s3.index_of_label("(1 3)")), h, 2)
+            power_coset_closedness(
+                analyze_coset(Element(s3, s3.index_of_label("(1 3)")), h), 2)
 
 
 class TestExtraction:
@@ -368,29 +393,29 @@ class TestSemigroupShift:
         m6 = multiplicative_semigroup(6)
         d = GSubset.from_labels(m6, ["3", "5"])
         assert is_n_closed(d, 3) and not is_n_closed(d, 2)
-        shifted, ok = semigroup_shift_2closed(d, 3, [Element(m6, 3)])
+        [(shifted, ok)] = semigroup_shift_2closed(d, 3, [[Element(m6, 3)]])
         assert shifted.labels() == ["3"] and ok
-        shifted, ok = semigroup_shift_2closed(d, 3, [Element(m6, 5)])
+        [(shifted, ok)] = semigroup_shift_2closed(d, 3, [[Element(m6, 5)]])
         assert shifted.labels() == ["1", "3"] and ok
 
     def test_group_case_matches_extraction(self, z4):
         d = GSubset.from_indices(z4, [1, 3])
-        shifted, ok = semigroup_shift_2closed(d, 3, [Element(z4, 1)])
+        [(shifted, ok)] = semigroup_shift_2closed(d, 3, [[Element(z4, 1)]])
         assert shifted.indices() == [0, 2] and ok
 
     def test_prefix_validation(self, z4):
         d = GSubset.from_indices(z4, [1, 3])
         with pytest.raises(PrefixNotInD):
-            semigroup_shift_2closed(d, 3, [Element(z4, 2)])
+            semigroup_shift_2closed(d, 3, [[Element(z4, 2)]])
         with pytest.raises(ValueError):
-            semigroup_shift_2closed(d, 3, [Element(z4, 1), Element(z4, 1)])
+            semigroup_shift_2closed(d, 3, [[Element(z4, 1), Element(z4, 1)]])
 
     def test_not_n_closed_rejected(self):
         m6 = multiplicative_semigroup(6)
         d = GSubset.from_labels(m6, ["2", "5"])
         if not is_n_closed(d, 3):
             with pytest.raises(NotNClosed):
-                semigroup_shift_2closed(d, 3, [Element(m6, 2)])
+                semigroup_shift_2closed(d, 3, [[Element(m6, 2)]])
 
 
 class TestCosetMembershipPattern:

@@ -225,6 +225,37 @@ class TestDirectProduct:
             direct_product(make_named("cyclic", 100), make_named("cyclic", 100))
 
 
+class TestVectorisedFacts:
+    """is_abelian and structure_orders against plain loops over the table."""
+
+    @staticmethod
+    def reference(g):
+        n = g.order
+        abelian = all(g.mul(a, b) == g.mul(b, a) for a in range(n) for b in range(n))
+        hist = {}
+        for a in range(n):
+            k, x = 1, a
+            while x != g.identity:
+                x, k = g.mul(x, a), k + 1
+            hist[k] = hist.get(k, 0) + 1
+        return abelian, hist
+
+    def test_small_corpus(self, small_corpus):
+        for g in small_corpus + [make_named("cyclic", 1), make_named("symmetric", 4)]:
+            assert (g.is_abelian(), structure_orders(g)) == self.reference(g), g.name
+
+    def test_identity_off_index_zero(self):
+        # Z6 relabelled so that its identity sits at index 3
+        perm = [3, 1, 4, 0, 5, 2]
+        table = [[0] * 6 for _ in range(6)]
+        for i in range(6):
+            for j in range(6):
+                table[perm[i]][perm[j]] = perm[(i + j) % 6]
+        g = validate_cayley_table(table)
+        assert g.identity == 3
+        assert (g.is_abelian(), structure_orders(g)) == self.reference(g)
+
+
 class TestElementArithmetic:
     def test_s3_composition_applies_right_first(self, s3):
         x = Element(s3, s3.index_of_label("(1 3)"))

@@ -1,4 +1,6 @@
 import json
+from collections import Counter
+from functools import reduce
 from pathlib import Path
 
 import jsonschema
@@ -60,7 +62,7 @@ class TestSweeps:
         assert violations == []
 
     def test_extraction_sweep_covers_known_sets(self, z9):
-        checked, violations = sweep_extraction(z9, ns=(3, 4, 5))
+        checked, violations = sweep_extraction(z9)
         assert violations == []
         assert checked > 0
 
@@ -72,6 +74,36 @@ class TestSweeps:
         checked, violations = sweep_semigroup_shifts(multiplicative_semigroup(6))
         assert checked > 0
         assert violations == []
+
+    def test_semigroup_sweep_decides_each_d_and_shift_set_once(self, monkeypatch):
+        struct = multiplicative_semigroup(8)
+        real_decide = closedness.is_n_closed
+        real_shift = closedness.semigroup_shift_2closed
+        decided = []  # (mask, n) of every engine decision, in order
+        calls = []  # (mask, n, prefixes, decisions made) per shift call
+
+        def deciding(d, n):
+            decided.append((d.mask, n))
+            return real_decide(d, n)
+
+        def shifting(d, n, prefixes):
+            start = len(decided)
+            out = real_shift(d, n, prefixes)
+            calls.append((d.mask, n, prefixes, decided[start:]))
+            return out
+
+        monkeypatch.setattr(closedness, "is_n_closed", deciding)
+        monkeypatch.setattr(closedness, "semigroup_shift_2closed", shifting)
+        checked, violations = sweep_semigroup_shifts(struct)
+        assert violations == [] and checked > len(calls) > 0
+        per_d = Counter((mask, n) for mask, n, _, _ in calls)
+        assert set(per_d.values()) == {1}, "one shift call per (D, n)"
+        for mask, n, prefixes, made in calls:
+            products = {reduce(struct.mul, (x.index for x in prefix))
+                        for prefix in prefixes}
+            # D once, then at most one decision per distinct prefix product p
+            assert made.count((mask, n)) == 1
+            assert len(made) - 1 <= len(products)
 
     def test_cross_checks_meet_quota(self):
         count, violations = cross_check_engine_oracle(seed=0)
