@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 from . import closedness
 from .errors import GroupTooLargeForScan
-from .groups import FiniteGroup
-from .subsets import GSubset
+from .groups import Element, FiniteGroup
+from .subsets import GSubset, all_subgroups, coset_commutes, left_cosets
 from .util import iter_bits, worker_count
 
 SCAN_ORDER_CAP = 14
@@ -30,7 +30,6 @@ class ScanReport:
     group: str
     order: int
     labels: tuple[str, ...]
-    n_max: int
     seed: int
     entries: list[ScanEntry]
     violations: list[dict]
@@ -44,7 +43,7 @@ class ScanReport:
             "subsets": len(self.entries),
             "two_closed": two,
             "n_closed_not_two_closed": higher,
-            "never_up_to_bound": len(self.entries) - two - higher,
+            "never": len(self.entries) - two - higher,
         }
 
     def _labels_of(self, mask: int) -> list[str]:
@@ -64,10 +63,9 @@ class ScanReport:
                 "coset": coset,
             })
         return {
-            "schema": "nclosed.scan/1",
+            "schema": "nclosed.scan/2",
             "group": self.group,
             "order": self.order,
-            "n_range": [3, self.n_max],
             "seed": self.seed,
             "totals": self.totals,
             "violation_count": len(self.violations),
@@ -77,15 +75,15 @@ class ScanReport:
 
     def render_text(self) -> str:
         totals = self.totals
-        lines = [f"scan of {self.group} (order {self.order}), n up to {self.n_max}"]
+        lines = [f"scan of {self.group} (order {self.order})"]
         lines.append(f"  subsets: {totals['subsets']}  "
                      f"2-closed: {totals['two_closed']}  "
                      f"n-closed (n>2): {totals['n_closed_not_two_closed']}  "
-                     f"never (up to bound): {totals['never_up_to_bound']}")
+                     f"never: {totals['never']}")
         for e in self.entries:
             subset = "{" + ", ".join(self._labels_of(e.mask)) + "}"
             if e.least_closedness is None:
-                verdict = f"not m-closed for any m <= {self.n_max}"
+                verdict = "never m-closed"
             elif e.least_closedness == 2:
                 verdict = "2-closed"
             else:
@@ -98,13 +96,13 @@ class ScanReport:
         return "\n".join(lines)
 
 
-def _classify_range(g: FiniteGroup, lo: int, hi: int, n_max: int,
+def _classify_range(g: FiniteGroup, lo: int, hi: int,
                     seed: int) -> tuple[list[ScanEntry], list[dict]]:
     entries = []
     violations: list[dict] = []
     for mask in range(lo, hi):
         d = GSubset(g, mask)
-        least = closedness.least_closed_scan(d, n_max)
+        least = closedness.closedness_profile(d).least
         subgroup_mask = rep = None
         if least is not None and least > 2:
             ext = closedness.extract_subgroup(d, least, seed=seed)
@@ -119,26 +117,51 @@ def _scan_range_task(args) -> tuple[list[ScanEntry], list[dict]]:
     return _classify_range(*args)
 
 
-def run_scan(g: FiniteGroup, n_max: int | None = None, *, seed: int = 0,
-             jobs: int = 1) -> ScanReport:
-    """Classify every nonempty subset of G by least closedness.
+def _lattice_violations(g: FiniteGroup, entries: list[ScanEntry]) -> list[dict]:
+    """Check the verdicts against the subgroup lattice: the 2-closed subsets
+    must be exactly the subgroups, and the subsets closed only at some n > 2
+    exactly the proper left cosets aH with aH = Ha. entries is sorted by mask,
+    one per nonempty subset."""
+    subgroups = set()
+    cosets = set()
+    for h in all_subgroups(g):
+        subgroups.add(h.mask)
+        part = left_cosets(h)
+        for rep, coset in zip(part.representatives, part.cosets):
+            if coset.mask != h.mask and coset_commutes(Element(g, rep), h):
+                cosets.add(coset.mask)
+    two = {e.mask for e in entries if e.least_closedness == 2}
+    higher = {e.mask for e in entries
+              if e.least_closedness is not None and e.least_closedness > 2}
+    violations = []
+    for mask in sorted((two ^ subgroups) | (higher ^ cosets)):
+        least = entries[mask - 1].least_closedness
+        kind = ("a subgroup" if mask in subgroups
+                else "a proper commuting coset" if mask in cosets
+                else "neither a subgroup nor a commuting coset")
+        violations.append(closedness.make_certificate(
+            g, "scan-lattice", subset=GSubset(g, mask).labels(), n=least,
+            detail=f"reported least closedness {least}, but the subset is {kind}"))
+    return violations
+
+
+def run_scan(g: FiniteGroup, *, seed: int = 0, jobs: int = 1) -> ScanReport:
+    """Classify every nonempty subset of G by its exact least closedness.
 
     Each subset that is n-closed but not 2-closed carries its extraction
-    result (the recovered subgroup and the coset representative).
+    result (the recovered subgroup and the coset representative). The
+    classification is then checked against the subgroup lattice, and every
+    disagreement is recorded as a violation.
     """
     if g.order > SCAN_ORDER_CAP:
         raise GroupTooLargeForScan(
             f"scan enumerates 2^order subsets and caps at order {SCAN_ORDER_CAP}, "
             f"got order {g.order}")
-    if n_max is None:
-        n_max = 2 * g.order + 1
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
     total = 1 << g.order
     workers = worker_count(jobs, total - 1)
     if workers > 1 and total >= _POOL_THRESHOLD:
         chunk = (total - 1 + 4 * workers - 1) // (4 * workers)
-        tasks = [(g, lo, min(lo + chunk, total), n_max, seed)
+        tasks = [(g, lo, min(lo + chunk, total), seed)
                  for lo in range(1, total, chunk)]
         entries: list[ScanEntry] = []
         violations: list[dict] = []
@@ -147,13 +170,13 @@ def run_scan(g: FiniteGroup, n_max: int | None = None, *, seed: int = 0,
                 entries.extend(part_entries)
                 violations.extend(part_violations)
     else:
-        entries, violations = _classify_range(g, 1, total, n_max, seed)
+        entries, violations = _classify_range(g, 1, total, seed)
     entries.sort(key=lambda e: e.mask)
+    violations.extend(_lattice_violations(g, entries))
     return ScanReport(
         group=g.name,
         order=g.order,
         labels=g.labels,
-        n_max=n_max,
         seed=seed,
         entries=entries,
         violations=violations,

@@ -72,7 +72,7 @@ class TestCoset:
 
 class TestScan:
     def test_z4_classification(self, capsys):
-        code, out, _ = run_cli(capsys, "scan", "Z4", "--max-n", "5",
+        code, out, _ = run_cli(capsys, "scan", "Z4",
                                "--format", "json", "--jobs", "1")
         assert code == 0
         payload = json.loads(out)
@@ -83,13 +83,19 @@ class TestScan:
         assert entry["coset"] == {"subgroup": ["0", "2"], "rep": "1"}
 
     def test_z9_progressions(self, capsys):
-        code, out, _ = run_cli(capsys, "scan", "Z9", "--max-n", "6",
+        code, out, _ = run_cli(capsys, "scan", "Z9",
                                "--format", "json", "--jobs", "1")
         payload = json.loads(out)
         by_subset = {tuple(e["subset"]): e for e in payload["classified"]}
         assert by_subset[("1", "4", "7")]["least_closedness"] == 4
         assert by_subset[("2", "5", "8")]["least_closedness"] == 4
         assert payload["totals"]["subsets"] == 511
+
+    def test_max_n_is_a_usage_error(self, capsys):
+        # verdicts are exact, so scan takes no bound
+        code, _, err = run_cli(capsys, "scan", "Z4", "--max-n", "5")
+        assert code == 1
+        assert "usage error" in err
 
     def test_group_too_large(self, capsys):
         code, _, err = run_cli(capsys, "scan", "Z16")

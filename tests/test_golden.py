@@ -20,7 +20,7 @@ COMMANDS = {
     "check_S3.json": ["check", "S3", "--subset", "(1 3),(1 2 3)", "--n", "3"],
     "subgroups_S4.json": ["subgroups", "S4"],
     "group_S4.json": ["group", "S4"],
-    "scan_Z4.json": ["scan", "Z4", "--max-n", "5", "--jobs", "1"],
+    "scan_Z4.json": ["scan", "Z4", "--jobs", "1"],
 }
 
 

@@ -4,11 +4,12 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from nclosed.closedness import least_exponent
+from nclosed.cli import main
+from nclosed.closedness import ClosednessProfile, least_closed_scan, least_exponent
 from nclosed.errors import GroupTooLargeForScan
-from nclosed.groups import Element
+from nclosed.groups import Element, validate_cayley_table
 from nclosed.parsing import parse_group_spec
-from nclosed import scan, util
+from nclosed import closedness, scan, util
 from nclosed.scan import run_scan
 from nclosed.subsets import GSubset, Subgroup, coset_commutes, translate
 
@@ -22,17 +23,17 @@ def load_schema(name):
 class TestScanClassification:
     def test_totals_cover_every_nonempty_subset(self, z4, s3):
         for g in (z4, s3):
-            report = run_scan(g, 6)
+            report = run_scan(g)
             assert len(report.entries) == (1 << g.order) - 1
             totals = report.totals
             assert sum((totals["two_closed"],
                         totals["n_closed_not_two_closed"],
-                        totals["never_up_to_bound"])) == totals["subsets"]
+                        totals["never"])) == totals["subsets"]
 
     def test_s3_higher_closed_sets_are_commuting_cosets(self, s3):
         # every n-closed non-2-closed subset must decompose as b*H with
         # bH = Hb and least closedness equal to the least exponent + 1
-        report = run_scan(s3, 5)
+        report = run_scan(s3)
         higher = [e for e in report.entries
                   if e.least_closedness and e.least_closedness > 2]
         assert higher, "S3 must have nontrivially closed subsets"
@@ -49,14 +50,14 @@ class TestScanClassification:
             run_scan(parse_group_spec("Z15"))
 
     def test_order_14_is_supported(self):
-        report = run_scan(parse_group_spec("D7"), 6)
+        report = run_scan(parse_group_spec("D7"))
         assert len(report.entries) == (1 << 14) - 1
         assert not report.violations
 
     def test_jobs_do_not_change_the_report(self):
         g = parse_group_spec("Z12")
-        solo = run_scan(g, 6, seed=1, jobs=1)
-        pooled = run_scan(g, 6, seed=1, jobs=3)
+        solo = run_scan(g, seed=1, jobs=1)
+        pooled = run_scan(g, seed=1, jobs=3)
         assert json.dumps(solo.to_json_dict(), sort_keys=True) == \
             json.dumps(pooled.to_json_dict(), sort_keys=True)
 
@@ -64,30 +65,82 @@ class TestScanClassification:
         monkeypatch.setattr(util, "available_cpus", lambda: 3)
         monkeypatch.setattr(scan, "ProcessPoolExecutor", serial_pool)
         g = parse_group_spec("Z12")
-        pooled = run_scan(g, 6, seed=1, jobs=100_000)
+        pooled = run_scan(g, seed=1, jobs=100_000)
         assert serial_pool.sizes == [3, 12]  # three workers, four chunks each
-        assert pooled.entries == run_scan(g, 6, seed=1, jobs=1).entries
+        assert pooled.entries == run_scan(g, seed=1, jobs=1).entries
 
     def test_jobs_below_one_rejected(self, z4):
         for jobs in (0, -3):
             with pytest.raises(ValueError):
-                run_scan(z4, 6, jobs=jobs)
+                run_scan(z4, jobs=jobs)
+
+
+class TestScanExactness:
+    def test_least_closedness_matches_bounded_reference(self, small_corpus):
+        # small_corpus includes Z12; at 2*order+1 the bounded scan is exact
+        for g in small_corpus:
+            for e in run_scan(g).entries:
+                d = GSubset(g, e.mask)
+                assert e.least_closedness == least_closed_scan(d, 2 * g.order + 1)
+
+
+def _shifted_up_by_one(real):
+    def profile(d):
+        p = real(d)
+        return ClosednessProfile(p.start + 1, p.period, tuple(n + 1 for n in p.closed))
+    return profile
+
+
+# wrong engines, each built from the real closedness_profile
+PROFILE_FAULTS = {
+    "closed-for-every-n": lambda real: lambda d: ClosednessProfile(2, 1, (2,)),
+    "shifted-up-by-one": _shifted_up_by_one,
+    "never-closed": lambda real: lambda d: ClosednessProfile(2, 1, ()),
+}
+
+
+class TestScanFaults:
+    @pytest.mark.parametrize("fault", sorted(PROFILE_FAULTS))
+    def test_wrong_profile_exits_2_with_replayable_certificates(
+            self, fault, monkeypatch, capsys):
+        real = closedness.closedness_profile
+        monkeypatch.setattr(closedness, "closedness_profile", PROFILE_FAULTS[fault](real))
+        code = main(["scan", "S3", "--format", "json", "--jobs", "1"])
+        payload = json.loads(capsys.readouterr().out)
+        monkeypatch.undo()
+        assert code == 2
+        jsonschema.validate(payload, load_schema("scan.schema.json"))
+        certs = payload["violations"]
+        assert certs and payload["violation_count"] == len(certs)
+        assert any(cert["claim"] == "scan-lattice" for cert in certs)
+        for cert in certs:
+            g = validate_cayley_table(cert["table"], cert["labels"])
+            d = GSubset.from_labels(g, cert["subset"])
+            # each certificate claims least closedness n; the real engine disagrees
+            assert real(d).least != cert["n"]
 
 
 class TestReportSchemas:
     def test_scan_schema(self, z9):
-        payload = run_scan(z9, 6).to_json_dict()
+        payload = run_scan(z9).to_json_dict()
+        jsonschema.validate(payload, load_schema("scan.schema.json"))
+
+    def test_scan_json_is_one_compact_line(self, capsys):
+        assert main(["scan", "Z6", "--format", "json", "--jobs", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert ": " not in out and ", " not in out
+        payload = json.loads(out)
+        assert payload["schema"] == "nclosed.scan/2"
         jsonschema.validate(payload, load_schema("scan.schema.json"))
 
     def test_check_schema(self, capsys):
-        from nclosed.cli import main
         main(["check", "S3", "--subset", "(1 3),(1 2 3)", "--n", "3",
               "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         jsonschema.validate(payload, load_schema("check.schema.json"))
 
     def test_coset_schema_commuting_and_not(self, capsys):
-        from nclosed.cli import main
         schema = load_schema("coset.schema.json")
         main(["coset", "Z9", "--subgroup", "3", "--rep", "1",
               "--power", "2", "--format", "json"])
@@ -97,7 +150,6 @@ class TestReportSchemas:
         jsonschema.validate(json.loads(capsys.readouterr().out), schema)
 
     def test_group_schema_named_and_table(self, capsys, tmp_path):
-        from nclosed.cli import main
         from nclosed.groups import dump_cayley_table
         schema = load_schema("group.schema.json")
         path = tmp_path / "s4.json"
@@ -107,7 +159,6 @@ class TestReportSchemas:
             jsonschema.validate(json.loads(capsys.readouterr().out), schema)
 
     def test_subgroups_schema(self, capsys):
-        from nclosed.cli import main
         main(["subgroups", "S4", "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         jsonschema.validate(payload, load_schema("subgroups.schema.json"))
