@@ -37,7 +37,7 @@ def main() -> int:
         hist_text = ", ".join(f"{k}: {v}" for k, v in sorted(hist.items()))
         print(f"{g.name:>10} {totals['subsets']:>8} {totals['two_closed']:>9} "
               f"{totals['n_closed_not_two_closed']:>7} "
-              f"{totals['never']:>6}   {hist_text}")
+              f"{totals['never_up_to_bound']:>6}   {hist_text}")
         if rep.violations:
             print(f"  UNEXPECTED VIOLATIONS in {g.name}: {len(rep.violations)}")
             return 2

@@ -43,7 +43,7 @@ class ScanReport:
             "subsets": len(self.entries),
             "two_closed": two,
             "n_closed_not_two_closed": higher,
-            "never": len(self.entries) - two - higher,
+            "never_up_to_bound": len(self.entries) - two - higher,
         }
 
     def _labels_of(self, mask: int) -> list[str]:
@@ -79,7 +79,7 @@ class ScanReport:
         lines.append(f"  subsets: {totals['subsets']}  "
                      f"2-closed: {totals['two_closed']}  "
                      f"n-closed (n>2): {totals['n_closed_not_two_closed']}  "
-                     f"never: {totals['never']}")
+                     f"never: {totals['never_up_to_bound']}")
         for e in self.entries:
             subset = "{" + ", ".join(self._labels_of(e.mask)) + "}"
             if e.least_closedness is None:
@@ -118,30 +118,29 @@ def _scan_range_task(args) -> tuple[list[ScanEntry], list[dict]]:
 
 
 def _lattice_violations(g: FiniteGroup, entries: list[ScanEntry]) -> list[dict]:
-    """Check the verdicts against the subgroup lattice: the 2-closed subsets
-    must be exactly the subgroups, and the subsets closed only at some n > 2
-    exactly the proper left cosets aH with aH = Ha. entries is sorted by mask,
-    one per nonempty subset."""
-    subgroups = set()
-    cosets = set()
+    """Check each verdict against the subgroup lattice: a subgroup has least
+    closedness 2, a proper left coset aH with aH = Ha has t + 1 (t the least
+    exponent with a^t in H), and every other subset is never n-closed."""
+    expected: dict[int, int] = {}
     for h in all_subgroups(g):
-        subgroups.add(h.mask)
+        expected[h.mask] = 2
         part = left_cosets(h)
         for rep, coset in zip(part.representatives, part.cosets):
-            if coset.mask != h.mask and coset_commutes(Element(g, rep), h):
-                cosets.add(coset.mask)
-    two = {e.mask for e in entries if e.least_closedness == 2}
-    higher = {e.mask for e in entries
-              if e.least_closedness is not None and e.least_closedness > 2}
+            a = Element(g, rep)
+            if coset.mask != h.mask and coset_commutes(a, h):
+                expected[coset.mask] = closedness.least_exponent(a, h) + 1
     violations = []
-    for mask in sorted((two ^ subgroups) | (higher ^ cosets)):
-        least = entries[mask - 1].least_closedness
-        kind = ("a subgroup" if mask in subgroups
-                else "a proper commuting coset" if mask in cosets
-                else "neither a subgroup nor a commuting coset")
-        violations.append(closedness.make_certificate(
-            g, "scan-lattice", subset=GSubset(g, mask).labels(), n=least,
-            detail=f"reported least closedness {least}, but the subset is {kind}"))
+    for e in entries:
+        want = expected.get(e.mask)
+        if e.least_closedness != want:
+            kind = ("neither a subgroup nor a commuting coset, so never n-closed"
+                    if want is None else "a subgroup" if want == 2
+                    else f"a proper commuting coset, least closedness {want}")
+            violations.append(closedness.make_certificate(
+                g, "scan-lattice", subset=GSubset(g, e.mask).labels(),
+                n=e.least_closedness,
+                detail=f"reported least closedness {e.least_closedness}, "
+                       f"but the subset is {kind}"))
     return violations
 
 

@@ -28,7 +28,7 @@ class TestScanClassification:
             totals = report.totals
             assert sum((totals["two_closed"],
                         totals["n_closed_not_two_closed"],
-                        totals["never"])) == totals["subsets"]
+                        totals["never_up_to_bound"])) == totals["subsets"]
 
     def test_s3_higher_closed_sets_are_commuting_cosets(self, s3):
         # every n-closed non-2-closed subset must decompose as b*H with
@@ -91,10 +91,24 @@ def _shifted_up_by_one(real):
     return profile
 
 
+def _coset_least_dropped(real):
+    """A commuting coset loses its least closed n, t + 1, and reads 2t + 1;
+    every subset stays in its class, so only the value is wrong."""
+    def profile(d):
+        p = real(d)
+        if p.least is None or p.least == 2:
+            return p
+        start = p.start + p.period
+        return ClosednessProfile(start, p.period, tuple(
+            n for n in range(2, start + p.period) if n != p.least and p.is_closed(n)))
+    return profile
+
+
 # wrong engines, each built from the real closedness_profile
 PROFILE_FAULTS = {
     "closed-for-every-n": lambda real: lambda d: ClosednessProfile(2, 1, (2,)),
     "shifted-up-by-one": _shifted_up_by_one,
+    "coset-least-dropped": _coset_least_dropped,
     "never-closed": lambda real: lambda d: ClosednessProfile(2, 1, ()),
 }
 
