@@ -13,7 +13,9 @@ from .closedness import (
     CosetReport,
     SpectrumDescription,
     SubgroupExtraction,
+    SubgroupReport,
     analyze_coset,
+    analyze_subgroup,
     closedness_spectrum,
     extract_subgroup,
     is_n_closed,

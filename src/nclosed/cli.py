@@ -129,6 +129,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_coset(args) -> int:
+    if args.max_n < 2:
+        raise UsageError(f"--max-n must be >= 2, got {args.max_n}")
     g = parse_group_spec(args.group)
     h = generated_subgroup(parse_subset_spec(args.subgroup, g).elements())
     a = _single_element(g, args.rep)

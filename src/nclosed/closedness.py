@@ -29,6 +29,7 @@ from .errors import (
     EmptySubset,
     NonCommutingCoset,
     NotNClosed,
+    NotProperSubgroup,
     PrefixNotInD,
     RepInSubgroup,
     TheoremViolation,
@@ -38,6 +39,7 @@ from .subsets import (
     GSubset,
     Subgroup,
     is_subgroup,
+    left_cosets,
     translate_mask_left,
     translate_mask_right,
 )
@@ -306,6 +308,29 @@ def analyze_coset(a: Element, h: Subgroup, *, seed: int = 0) -> CosetReport:
 
 
 @dataclass(frozen=True)
+class SubgroupReport:
+    """Every left coset a*H other than H, each analysed once."""
+
+    subgroup: Subgroup
+    cosets: tuple[CosetReport, ...]
+
+    @property
+    def index(self) -> int:
+        return len(self.cosets) + 1
+
+
+def analyze_subgroup(h: Subgroup, *, seed: int = 0) -> SubgroupReport:
+    """One analyze_coset report per left coset of a proper subgroup H other
+    than H itself, in left_cosets order."""
+    g = h.owner
+    if h.order >= g.order:
+        raise NotProperSubgroup("subgroup equals the whole group")
+    return SubgroupReport(h, tuple(
+        analyze_coset(Element(g, rep), h, seed=seed)
+        for rep in left_cosets(h).representatives if rep not in h))
+
+
+@dataclass(frozen=True)
 class SpectrumDescription:
     """All m for which a commuting coset is m-closed: {c*step + 1 : c >= 1}."""
 
@@ -319,6 +344,8 @@ class SpectrumDescription:
 
 def closedness_spectrum(report: CosetReport, verify_up_to: int = 20) -> SpectrumDescription:
     """Spectrum of a commuting coset, checked against its engine profile."""
+    if verify_up_to < 2:
+        raise ValueError(f"verify_up_to must be >= 2, got {verify_up_to}")
     a, h = report.rep, report.subgroup
     if not report.commutes:
         raise NonCommutingCoset(f"{a.label}*H != H*{a.label}")

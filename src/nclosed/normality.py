@@ -1,23 +1,23 @@
 """Normality decided through coset closedness, cross-checked classically.
 
-Both verdicts are computed independently and then compared: the point is
-adversarial cross-validation of the closedness route against the plain
-conjugation sweep, not shortcutting through the known-equivalent predicate.
+Both characterizations read one closedness.analyze_subgroup report, so
+each left coset is analysed once for both. Per coset, the fast path
+(aH = Ha and the least exponent t of a) claims a verdict at some n, and
+the coset's engine profile must confirm it; a disagreement is recorded
+as a certificate. The verdict over all cosets is then compared with the
+plain conjugation sweep (is_normal_classic): the point is adversarial
+cross-validation of the closedness route, not shortcutting through the
+known-equivalent predicate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from . import closedness
-from .errors import NotProperSubgroup
-from .groups import Element, FiniteGroup
-from .subsets import (
-    Subgroup,
-    coset_commutes,
-    is_normal_classic,
-    left_cosets,
-)
+from .closedness import CosetReport, SubgroupReport
+from .subsets import Subgroup, is_normal_classic
 
 
 @dataclass(frozen=True)
@@ -38,42 +38,27 @@ class NormalityVerdict:
     violations: tuple[dict, ...] = ()
 
 
-def _require_proper(h: Subgroup) -> FiniteGroup:
-    g = h.owner
-    if h.order >= g.order:
-        raise NotProperSubgroup("subgroup equals the whole group")
-    return g
-
-
-def normal_iff_index_plus_one(h: Subgroup) -> NormalityVerdict:
-    """Normal iff every left coset a*H (a outside H) is (index+1)-closed.
-
-    The per-coset decision uses the commuting fast path (aH = Ha and
-    a^index in H) with the engine confirming each coset directly; a fast
-    path / engine disagreement is recorded as a certificate.
-    """
-    g = _require_proper(h)
-    n = g.order // h.order
-    partition = left_cosets(h)
+def _verdict(report: SubgroupReport, claim: str,
+             fast_path: Callable[[CosetReport], tuple[int | None, bool]]
+             ) -> NormalityVerdict:
+    """fast_path(c) gives the n checked on coset c and whether the fast path
+    says c is n-closed there (n None: nothing to check, the coset fails)."""
+    h = report.subgroup
     checks = []
     violations: list[dict] = []
-    for rep, coset in zip(partition.representatives, partition.cosets):
-        if rep in h:
-            continue
-        a = Element(g, rep)
-        fast = coset_commutes(a, h) and g.pow(rep, n) in h
-        engine = closedness.is_n_closed(coset, n + 1)
-        if engine != fast:
+    for c in report.cosets:
+        n, fast = fast_path(c)
+        if n is not None and c.profile.is_closed(n) != fast:
             violations.append(closedness.make_certificate(
-                g, "index-plus-one", subgroup=h.carrier.labels(),
-                rep=a.label, n=n + 1,
-                detail=f"fast path {fast} but engine {engine}"))
-        checks.append(CosetCheck(rep=rep, closedness_checked=n + 1, passed=fast))
+                h.owner, claim, subgroup=h.carrier.labels(), rep=c.rep.label,
+                n=n, detail=f"fast path {fast} but engine {not fast}"))
+        checks.append(CosetCheck(rep=c.rep.index, closedness_checked=n,
+                                 passed=fast))
     via = all(c.passed for c in checks)
     classic = is_normal_classic(h)
     return NormalityVerdict(
         subgroup=h,
-        index=n,
+        index=report.index,
         verdict_classic=classic,
         verdict_via_closedness=via,
         per_coset=tuple(checks),
@@ -82,38 +67,22 @@ def normal_iff_index_plus_one(h: Subgroup) -> NormalityVerdict:
     )
 
 
-def normal_iff_existential(h: Subgroup) -> NormalityVerdict:
+def normal_iff_index_plus_one(report: SubgroupReport) -> NormalityVerdict:
+    """Normal iff every left coset a*H (a outside H) is (index+1)-closed.
+
+    The fast path says a*H is (index+1)-closed iff aH = Ha and a^index
+    lies in H, that is, t divides the index.
+    """
+    n = report.index
+    return _verdict(report, "index-plus-one",
+                    lambda c: (n + 1, c.commutes and n % c.least_exponent == 0))
+
+
+def normal_iff_existential(report: SubgroupReport) -> NormalityVerdict:
     """Normal iff every coset a*H is m-closed for some m >= 3.
 
     A commuting coset is (t+1)-closed, t the least exponent of a; a coset
     with aH != Ha is never m-closed, so it gets no witness.
     """
-    g = _require_proper(h)
-    partition = left_cosets(h)
-    checks = []
-    violations: list[dict] = []
-    for rep, coset in zip(partition.representatives, partition.cosets):
-        if rep in h:
-            continue
-        a = Element(g, rep)
-        witness: int | None = None
-        if coset_commutes(a, h):
-            witness = closedness.least_exponent(a, h) + 1
-            if not closedness.is_n_closed(coset, witness):
-                violations.append(closedness.make_certificate(
-                    g, "existential-witness", subgroup=h.carrier.labels(),
-                    rep=a.label, n=witness,
-                    detail="claimed witness rejected by the engine"))
-        checks.append(CosetCheck(rep=rep, closedness_checked=witness,
-                                 passed=witness is not None))
-    via = all(c.passed for c in checks)
-    classic = is_normal_classic(h)
-    return NormalityVerdict(
-        subgroup=h,
-        index=len(partition.cosets),
-        verdict_classic=classic,
-        verdict_via_closedness=via,
-        per_coset=tuple(checks),
-        agreement=classic == via,
-        violations=tuple(violations),
-    )
+    return _verdict(report, "existential-witness",
+                    lambda c: (c.least_closedness, c.commutes))

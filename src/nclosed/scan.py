@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import closedness
 from .errors import GroupTooLargeForScan
 from .groups import Element, FiniteGroup
 from .subsets import GSubset, all_subgroups, coset_commutes, left_cosets
-from .util import iter_bits, worker_count
+from .util import iter_bits, map_tasks, worker_count
 
 SCAN_ORDER_CAP = 14
 
@@ -162,14 +161,13 @@ def run_scan(g: FiniteGroup, *, seed: int = 0, jobs: int = 1) -> ScanReport:
         chunk = (total - 1 + 4 * workers - 1) // (4 * workers)
         tasks = [(g, lo, min(lo + chunk, total), seed)
                  for lo in range(1, total, chunk)]
-        entries: list[ScanEntry] = []
-        violations: list[dict] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part_entries, part_violations in pool.map(_scan_range_task, tasks):
-                entries.extend(part_entries)
-                violations.extend(part_violations)
     else:
-        entries, violations = _classify_range(g, 1, total, seed)
+        workers, tasks = 1, [(g, 1, total, seed)]
+    entries: list[ScanEntry] = []
+    violations: list[dict] = []
+    for part_entries, part_violations in map_tasks(_scan_range_task, tasks, workers):
+        entries.extend(part_entries)
+        violations.extend(part_violations)
     entries.sort(key=lambda e: e.mask)
     violations.extend(_lattice_violations(g, entries))
     return ScanReport(

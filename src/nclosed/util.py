@@ -1,11 +1,12 @@
-"""Bitmask helpers and deterministic RNG derivation."""
+"""Bitmask helpers, the worker-pool map, and deterministic RNG derivation."""
 
 from __future__ import annotations
 
 import hashlib
 import os
 import random
-from typing import Iterator
+from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, Iterator, Sequence
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -29,6 +30,15 @@ def worker_count(jobs: int, tasks: int) -> int:
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     return max(1, min(jobs, tasks, available_cpus()))
+
+
+def map_tasks(fn: Callable, tasks: Sequence, workers: int) -> list:
+    """[fn(t) for t in tasks], in a pool of that many worker processes when
+    workers > 1, else in this process; results keep the order of tasks."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
 
 
 def derived_rng(seed: int, *context) -> random.Random:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -25,13 +24,8 @@ from .errors import (
 )
 from .groups import Element, FiniteGroup, FiniteSemigroup, validate_semigroup_table
 from .parsing import parse_group_spec
-from .subsets import (
-    GSubset,
-    Subgroup,
-    left_cosets,
-    proper_subgroups,
-)
-from .util import derived_rng, worker_count
+from .subsets import GSubset, Subgroup, proper_subgroups
+from .util import derived_rng, map_tasks, worker_count
 
 DEFAULT_CORPUS: tuple[str, ...] = (
     "Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z9", "Z10", "Z11", "Z12",
@@ -176,11 +170,8 @@ def sweep_cor22(groups) -> tuple[int, list[dict]]:
     violations: list[dict] = []
     for g in groups:
         for h in proper_subgroups(g):
-            for rep in left_cosets(h).representatives:
-                if rep in h:
-                    continue
-                c, v = cor22_coset_checks(
-                    closedness.analyze_coset(Element(g, rep), h))
+            for report in closedness.analyze_subgroup(h).cosets:
+                c, v = cor22_coset_checks(report)
                 checked += c
                 violations.extend(v)
     return checked, violations
@@ -293,10 +284,10 @@ def cross_check_engine_oracle(seed: int = 0) -> tuple[int, list[dict]]:
 # per-coset and per-subgroup claim batteries
 
 
-def _check_coset(g: FiniteGroup, h: Subgroup, rep: int, seed: int,
+def _check_coset(report: closedness.CosetReport,
                  tallies: dict[str, ClaimTally]) -> None:
-    report = closedness.analyze_coset(Element(g, rep), h, seed=seed)
-    a = report.rep
+    a, h = report.rep, report.subgroup
+    g, rep = h.owner, a.index
     t = report.least_exponent
     h_labels = h.carrier.labels()
 
@@ -363,11 +354,14 @@ def _check_coset(g: FiniteGroup, h: Subgroup, rep: int, seed: int,
                 tallies["T2.3"].violations.append(exc.certificate)
 
 
-def _check_subgroup(g: FiniteGroup, h: Subgroup, seed: int,
-                    tallies: dict[str, ClaimTally]) -> None:
+def _check_subgroup(h: Subgroup, seed: int, tallies: dict[str, ClaimTally]) -> None:
+    """Both normality verdicts and the coset battery, all reading one
+    analyze_subgroup report, so each left coset is analysed once."""
+    g = h.owner
     h_labels = h.carrier.labels()
+    report = closedness.analyze_subgroup(h, seed=seed)
 
-    verdict = normality.normal_iff_index_plus_one(h)
+    verdict = normality.normal_iff_index_plus_one(report)
     tallies["T3.2"].checked += 1
     tallies["T3.2"].violations.extend(verdict.violations)
     if not verdict.agreement:
@@ -384,7 +378,7 @@ def _check_subgroup(g: FiniteGroup, h: Subgroup, seed: int,
                     n=verdict.index,
                     detail="normal subgroup but a^index outside H"))
 
-    verdict = normality.normal_iff_existential(h)
+    verdict = normality.normal_iff_existential(report)
     tallies["T3.1"].checked += 1
     tallies["T3.1"].violations.extend(verdict.violations)
     if not verdict.agreement:
@@ -393,18 +387,15 @@ def _check_subgroup(g: FiniteGroup, h: Subgroup, seed: int,
             detail=f"classic {verdict.verdict_classic} vs "
                    f"existential {verdict.verdict_via_closedness}"))
 
-    for rep in left_cosets(h).representatives:
-        if rep in h:
-            continue
-        _check_coset(g, h, rep, seed, tallies)
+    for coset in report.cosets:
+        _check_coset(coset, tallies)
 
 
-def _verify_group_task(args: tuple[str, int]) -> dict[str, ClaimTally]:
-    spec, seed = args
-    g = parse_group_spec(spec)
+def _verify_group_task(args: tuple[FiniteGroup, int]) -> dict[str, ClaimTally]:
+    g, seed = args
     tallies = _new_tallies()
     for h in proper_subgroups(g):
-        _check_subgroup(g, h, seed, tallies)
+        _check_subgroup(h, seed, tallies)
     if g.order <= EXHAUSTIVE_SUBSET_ORDER_CAP:
         checked, violations = sweep_extraction(g, seed=seed)
         for cid in ("T2.1", "C2.01"):
@@ -419,22 +410,17 @@ def run_verification(specs=DEFAULT_CORPUS, *, seed: int = 0,
     """Run the whole claim battery over a corpus of group specs."""
     start = time.perf_counter()
     specs = tuple(specs)
+    tasks = []
     for spec in specs:  # surface parse errors before any work
         g = parse_group_spec(spec)
         if g.order > VERIFY_ORDER_CAP:
             raise GroupTooLargeForScan(
                 f"verify enumerates subgroups only up to order {VERIFY_ORDER_CAP}, "
                 f"got {g.name} of order {g.order}")
+        tasks.append((g, seed))
     tallies = _new_tallies()
-    tasks = [(spec, seed) for spec in specs]
-    workers = worker_count(jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_verify_group_task, tasks):
-                _merge(tallies, part)
-    else:
-        for task in tasks:
-            _merge(tallies, _verify_group_task(task))
+    for part in map_tasks(_verify_group_task, tasks, worker_count(jobs, len(tasks))):
+        _merge(tallies, part)
 
     fixtures = tuple(f"mulZ{k}" for k in SEMIGROUP_FIXTURE_MODULI)
     for k in SEMIGROUP_FIXTURE_MODULI:

@@ -17,6 +17,7 @@ from nclosed import closedness
 from nclosed.cli import main
 from nclosed.closedness import (
     analyze_coset,
+    analyze_subgroup,
     closedness_spectrum,
     extract_subgroup,
     is_n_closed,
@@ -89,7 +90,7 @@ def test_criterion_2_normality_via_index_plus_one(corpus):
     classic = {}
     for g in corpus:
         for h in proper_subgroups(g):
-            v = normal_iff_index_plus_one(h)
+            v = normal_iff_index_plus_one(analyze_subgroup(h))
             if not v.agreement or v.violations:
                 disagreements += 1
             classic[(g.name, tuple(sorted(h.carrier.labels())))] = v.verdict_classic
@@ -125,7 +126,7 @@ def test_criterion_3_normality_existential(corpus):
     for g in corpus:
         for h in proper_subgroups(g):
             subgroups += 1
-            v = normal_iff_existential(h)
+            v = normal_iff_existential(analyze_subgroup(h))
             if not v.agreement or v.violations:
                 disagreements += 1
             for check in v.per_coset:
@@ -304,8 +305,9 @@ class TestCriterion9CliContract:
 
     def test_mutated_predicate_exits_2_with_replayable_certificate(
             self, monkeypatch, capsys):
-        monkeypatch.setattr(closedness, "is_n_closed",
-                            lambda d, n: True)  # deliberately wrong engine
+        # deliberately wrong engine: every subset n-closed for every n
+        everywhere = closedness.ClosednessProfile(start=2, period=1, closed=(2,))
+        monkeypatch.setattr(closedness, "closedness_profile", lambda d: everywhere)
         code = main(["verify", "--corpus", "S3", "--jobs", "1",
                      "--format", "json"])
         out = capsys.readouterr().out

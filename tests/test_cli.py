@@ -69,6 +69,15 @@ class TestCoset:
         code, _, err = run_cli(capsys, "coset", "Z9", "--subgroup", "3", "--rep", "3")
         assert code == 1
 
+    def test_max_n_below_two_is_a_usage_error(self, capsys):
+        # the spectrum is checked from m = 2 on, so a lower bound checks nothing
+        for max_n in ("1", "-3"):
+            code, out, err = run_cli(capsys, "coset", "Z4", "--subgroup", "2",
+                                     "--rep", "1", "--max-n", max_n,
+                                     "--format", "json")
+            assert code == 1 and out == ""
+            assert "--max-n must be >= 2" in err
+
 
 class TestScan:
     def test_z4_classification(self, capsys):

@@ -279,6 +279,13 @@ class TestSpectrum:
         with pytest.raises(NonCommutingCoset):
             closedness_spectrum(analyze_coset(Element(s3, s3.index_of_label("(1 3)")), h))
 
+    def test_bound_below_two_rejected(self, z4):
+        report = analyze_coset(Element(z4, 1), Subgroup.from_indices(z4, [0, 2]))
+        for bound in (1, -3):
+            with pytest.raises(ValueError):
+                closedness_spectrum(report, verify_up_to=bound)
+        assert closedness_spectrum(report, verify_up_to=2).verified_up_to == 2
+
 
 class TestLeastPowerExponent:
     def test_z12_cases(self, z12):

@@ -9,7 +9,7 @@ from nclosed.closedness import ClosednessProfile, least_closed_scan, least_expon
 from nclosed.errors import GroupTooLargeForScan
 from nclosed.groups import Element, validate_cayley_table
 from nclosed.parsing import parse_group_spec
-from nclosed import closedness, scan, util
+from nclosed import closedness, util
 from nclosed.scan import run_scan
 from nclosed.subsets import GSubset, Subgroup, coset_commutes, translate
 
@@ -63,7 +63,7 @@ class TestScanClassification:
 
     def test_pool_is_capped_at_available_cpus(self, monkeypatch, serial_pool):
         monkeypatch.setattr(util, "available_cpus", lambda: 3)
-        monkeypatch.setattr(scan, "ProcessPoolExecutor", serial_pool)
+        monkeypatch.setattr(util, "ProcessPoolExecutor", serial_pool)
         g = parse_group_spec("Z12")
         pooled = run_scan(g, seed=1, jobs=100_000)
         assert serial_pool.sizes == [3, 12]  # three workers, four chunks each

@@ -10,6 +10,7 @@ from nclosed import closedness, util, verify
 from nclosed.cli import main
 from nclosed.errors import GroupTooLargeForScan
 from nclosed.parsing import parse_group_spec
+from nclosed.subsets import left_cosets, proper_subgroups
 from nclosed.verify import (
     CLAIMS,
     DEFAULT_CORPUS,
@@ -51,6 +52,47 @@ class TestReport:
         assert a.violation_count == b.violation_count == 0
         assert {c: t.checked for c, t in a.claims.items() if c not in ("C2.1",)} \
             == {c: t.checked for c, t in b.claims.items() if c not in ("C2.1",)}
+
+
+class TestOnePass:
+    def test_each_coset_analysed_once_per_subgroup(self, monkeypatch):
+        real_analyze, real_decide = closedness.analyze_coset, closedness.is_n_closed
+        analysed = Counter()
+        decided = []
+
+        def analysing(a, h, **kwargs):
+            report = real_analyze(a, h, **kwargs)
+            analysed[(a.owner.name, h.mask, report.coset.mask)] += 1
+            return report
+
+        def deciding(d, n):
+            decided.append(d.owner.name)
+            return real_decide(d, n)
+
+        monkeypatch.setattr(closedness, "analyze_coset", analysing)
+        monkeypatch.setattr(closedness, "is_n_closed", deciding)
+        specs = ("D3", "Z10")  # neither is a cross-check group
+        run_verification(specs, jobs=1)
+        expected = {(g.name, h.mask, c.mask)
+                    for g in map(parse_group_spec, specs)
+                    for h in proper_subgroups(g)
+                    for c in left_cosets(h).cosets if c.mask != h.mask}
+        assert set(analysed) == expected
+        assert set(analysed.values()) == {1}
+        # the normality verdicts read the coset reports, not the engine
+        assert not set(decided) & set(specs)
+
+    def test_each_spec_parsed_once(self, monkeypatch):
+        parsed = []
+
+        def parsing(spec):
+            parsed.append(spec)
+            return parse_group_spec(spec)
+
+        monkeypatch.setattr(verify, "parse_group_spec", parsing)
+        specs = ("Z5", "D3", "perm(3): (1 2), (1 2 3)")  # none is a cross-check group
+        run_verification(specs, jobs=1)
+        assert [s for s in parsed if s in specs] == list(specs)
 
 
 class TestSweeps:
@@ -161,7 +203,8 @@ class TestMutationDetection:
             assert real(d, cert["n"])
 
     def test_certificate_is_replayable(self, monkeypatch):
-        monkeypatch.setattr(closedness, "is_n_closed", lambda d, n: True)
+        everywhere = closedness.ClosednessProfile(start=2, period=1, closed=(2,))
+        monkeypatch.setattr(closedness, "closedness_profile", lambda d: everywhere)
         report = run_verification(("S3",), seed=0)
         cert = next(v for t in report.claims.values() for v in t.violations)
         monkeypatch.undo()
@@ -176,7 +219,7 @@ class TestMutationDetection:
 
 class TestPool:
     def test_pool_is_capped_at_tasks_and_available_cpus(self, monkeypatch, serial_pool):
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", serial_pool)
+        monkeypatch.setattr(util, "ProcessPoolExecutor", serial_pool)
         monkeypatch.setattr(util, "available_cpus", lambda: 4)
         specs = ("Z2", "Z3", "S3")
         capped = run_verification(specs, jobs=100_000)
