@@ -7,6 +7,12 @@ Structures are immutable once validated and safe to share across workers.
 The permutation composition convention throughout is "apply the right
 factor first": (x*y) acts as x after y. Named constructors put the
 identity at index 0.
+
+Each row is an array("i"). The named families are built row by row in
+pure Python, with their inverses given by formula, so they load no numpy.
+Whole-table work (validating a table, the commutativity and element-order
+passes, direct products) runs on numpy in the private module _tables,
+which the functions doing that work import when they are called.
 """
 
 from __future__ import annotations
@@ -16,127 +22,17 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
+from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
 
 from .errors import (
-    DuplicateLabel,
     GroupTooLarge,
     MixedStructures,
-    NoIdentity,
-    NoInverse,
-    NotAssociative,
-    NotClosed,
     TableFileError,
     UnsupportedParameter,
 )
 
 MAX_ORDER = 5040
-
-
-# ---------------------------------------------------------------------------
-# validation internals: every check runs on one numpy copy of the table
-
-
-def _as_array(table) -> np.ndarray:
-    n = len(table)
-    if n == 0:
-        raise ValueError("table must have side >= 1")
-    if n > MAX_ORDER:
-        raise GroupTooLarge(f"order {n} exceeds the cap of {MAX_ORDER}")
-    try:
-        square = all(len(row) == n for row in table)
-        t = np.array(table, dtype=np.int64) if square else None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"table entries must be integers: {exc}") from None
-    if t is None or t.shape != (n, n):
-        raise ValueError("table must be square")
-    return t
-
-
-def _closure_witness(t: np.ndarray):
-    n = len(t)
-    bad = (t < 0) | (t >= n)
-    if not bad.any():
-        return None
-    i, j = divmod(int(bad.argmax()), n)
-    return (i, j, int(t[i, j]))
-
-
-def _light_witness(t: np.ndarray):
-    """Light's associativity test (Clifford & Preston I, 1961, section 1.2).
-
-    The elements a with (x*a)*y == x*(a*y) for all x, y are closed under
-    the product, so it suffices to check a generating set A. A is chosen
-    greedily: the smallest element not yet reached joins A, then the
-    reached set grows by right multiplication with A. Returns the triple
-    (x, a, y) for the first generator a that fails, or None when the table
-    is associative. Costs O(order^2 * |A|); on a group table |A| is at most
-    log2(order) + 1, while an associative table that is not a group can
-    need up to order generators.
-    """
-    n = len(t)
-    # rows per block: keeps the temporaries small enough to be reused
-    step = max(1, (1 << 18) // n)
-    reached = np.zeros(n, dtype=bool)
-    gens: list[int] = []
-    while not reached.all():
-        a = int(reached.argmin())
-        xa, ay = t[:, a], t[a]
-        for lo in range(0, n, step):
-            bad = t[xa[lo:lo + step]] != t[lo:lo + step][:, ay]
-            if bad.any():
-                x, y = divmod(int(bad.argmax()), n)
-                return (lo + x, a, y)
-        gens.append(a)
-        reached[a] = True
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            hit = np.zeros(n, dtype=bool)
-            hit[t[frontier[:, None], gens]] = True
-            hit &= ~reached
-            reached |= hit
-            frontier = np.flatnonzero(hit)
-    return None
-
-
-def _find_identity(t: np.ndarray):
-    ar = np.arange(len(t))
-    both = (t == ar).all(axis=1) & (t == ar[:, None]).all(axis=0)
-    return int(both.argmax()) if both.any() else None
-
-
-def _find_inverses(t: np.ndarray, identity: int) -> np.ndarray:
-    unit = t == identity
-    unit = unit & unit.T
-    found = unit.any(axis=1)
-    if not found.all():
-        raise NoInverse(int(found.argmin()))
-    return unit.argmax(axis=1)
-
-
-def _int_array(values: np.ndarray) -> array:
-    return array("i", values.astype(np.intc).tobytes())
-
-
-def _rows_of(t: np.ndarray) -> tuple[array, ...]:
-    return tuple(_int_array(row) for row in t)
-
-
-def _check_labels(labels, n) -> tuple[str, ...]:
-    if labels is None:
-        return tuple(str(i) for i in range(n))
-    labels = tuple(str(s) for s in labels)
-    if len(labels) != n:
-        raise ValueError(f"got {len(labels)} labels for order {n}")
-    seen = set()
-    for s in labels:
-        if s in seen:
-            raise DuplicateLabel(s)
-        seen.add(s)
-    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +61,6 @@ class FiniteSemigroup:
 
     def table_lists(self) -> list[list[int]]:
         return [list(r) for r in self._rows]
-
-    def table_array(self) -> np.ndarray:
-        """The table as a read-only (order, order) array of C ints."""
-        return np.frombuffer(b"".join(self._rows), dtype=np.intc).reshape(
-            self.order, self.order)
 
     def index_of_label(self, label: str) -> int | None:
         return self._label_index.get(label)
@@ -222,8 +113,8 @@ class FiniteGroup(FiniteSemigroup):
         return self._perm_index.get(perm) if self._perm_index else None
 
     def is_abelian(self) -> bool:
-        t = self.table_array()
-        return bool((t == t.T).all())
+        from . import _tables
+        return _tables.is_abelian(_tables.table_array(self))
 
 
 def same_structure(*objs) -> None:
@@ -287,29 +178,16 @@ def element_order(x: Element) -> int:
 # factories
 
 
-def _validated_array(table, labels) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The table as an array once it is closed and associative, and its labels."""
-    t = _as_array(table)
-    labels = _check_labels(labels, len(t))
-    witness = _closure_witness(t)
-    if witness:
-        raise NotClosed(*witness)
-    t = t.astype(np.intc)
-    witness = _light_witness(t)
-    if witness:
-        raise NotAssociative(witness)
-    return t, labels
-
-
 def validate_semigroup_table(table, labels=None, name="semigroup") -> FiniteSemigroup:
     """Check closure and associativity exactly; return the semigroup.
 
     Associativity is decided by Light's test on a greedy generating set
-    (see _light_witness); raises NotClosed, NotAssociative (with a witness
-    triple) or DuplicateLabel.
+    (see _tables._light_witness); raises NotClosed, NotAssociative (with a
+    witness triple) or DuplicateLabel.
     """
-    t, labels = _validated_array(table, labels)
-    return FiniteSemigroup(_rows_of(t), labels, name)
+    from . import _tables
+    t, labels = _tables.validated_array(table, labels, MAX_ORDER)
+    return FiniteSemigroup(_tables.rows_of(t), labels, name)
 
 
 def validate_cayley_table(table, labels=None, name="group") -> FiniteGroup:
@@ -320,20 +198,10 @@ def validate_cayley_table(table, labels=None, name="group") -> FiniteGroup:
     triple), NoIdentity, NoInverse (with witness element), or
     DuplicateLabel, checked in that order.
     """
-    t, labels = _validated_array(table, labels)
-    identity = _find_identity(t)
-    if identity is None:
-        raise NoIdentity()
-    inverses = _find_inverses(t, identity)
-    return FiniteGroup(_rows_of(t), labels, identity, _int_array(inverses), name)
-
-
-def _trusted_group(t: np.ndarray, labels, name: str, identity: int = 0,
-                   **perm_meta) -> FiniteGroup:
-    """Wrap a table that is a group by construction, without validating it."""
-    inverses = (t == identity).argmax(axis=1)
-    return FiniteGroup(_rows_of(t), tuple(labels), identity, _int_array(inverses),
-                       name, **perm_meta)
+    from . import _tables
+    t, labels = _tables.validated_array(table, labels, MAX_ORDER)
+    identity, inverses = _tables.identity_and_inverses(t)
+    return FiniteGroup(_tables.rows_of(t), labels, identity, inverses, name)
 
 
 def _cycle_label(perm: tuple[int, ...]) -> str:
@@ -355,36 +223,59 @@ def _cycle_label(perm: tuple[int, ...]) -> str:
     return "".join(parts) or "e"
 
 
-def _symmetric_table(perms: Sequence[tuple[int, ...]], degree: int) -> np.ndarray:
-    # encode one-line notation in base `degree`, compose via a lookup table
-    arr = np.array(perms, dtype=np.int64)
-    powers = degree ** np.arange(degree, dtype=np.int64)
-    lut = np.zeros(degree ** degree, dtype=np.int64)
-    lut[arr @ powers] = np.arange(len(perms))
-    # arr[:, arr][i, j] is the one-line form of perms[i] after perms[j]
-    return lut[arr[:, arr] @ powers]
-
-
 def _build_symmetric(degree: int) -> FiniteGroup:
     perms = tuple(permutations(range(degree)))
-    labels = [_cycle_label(p) for p in perms]
-    return _trusted_group(_symmetric_table(perms, degree), labels, f"S{degree}",
-                          perm_degree=degree, perms=perms)
+    index = {p: i for i, p in enumerate(perms)}
+    # the n-cycle and the transposition (1 2) generate S_n; their rows are
+    # s*y for every y, with y applied first
+    points = tuple(range(degree))
+    gens = (points[1:] + points[:1], points[1::-1] + points[2:])
+    gen_rows = [tuple(index[tuple(s[k] for k in y)] for y in perms) for s in gens]
+    # breadth-first from the identity: (s*r)*y = s*(r*y), so the row of s*r
+    # is the row of s gathered through the row of r
+    rows = {0: tuple(range(len(perms)))}
+    frontier = [0]
+    while frontier:
+        reached = []
+        for r in frontier:
+            row_r = rows[r]
+            for row_s in gen_rows:
+                x = row_s[r]
+                if x not in rows:
+                    # a new element means order >= 2: itemgetter gives a tuple
+                    rows[x] = itemgetter(*row_r)(row_s)
+                    reached.append(x)
+        frontier = reached
+    # the inverse of p sends p[i] back to i: the points sorted by their image
+    inverses = array("i", [index[tuple(sorted(points, key=p.__getitem__))]
+                           for p in perms])
+    return FiniteGroup(tuple(array("i", rows[x]) for x in range(len(perms))),
+                       tuple(_cycle_label(p) for p in perms), 0, inverses,
+                       f"S{degree}", perm_degree=degree, perms=perms)
 
 
 def _build_cyclic(n: int) -> FiniteGroup:
-    i = np.arange(n, dtype=np.intc)
-    return _trusted_group((i[:, None] + i) % n, [str(k) for k in range(n)], f"Z{n}")
+    doubled = array("i", range(n)) * 2  # row k is (k + j) mod n: a slice
+    return FiniteGroup(tuple(doubled[k:k + n] for k in range(n)),
+                       tuple(str(k) for k in range(n)), 0,
+                       array("i", [-k % n for k in range(n)]), f"Z{n}")
 
 
 def _build_dihedral(n: int) -> FiniteGroup:
     # indices 0..n-1 rotations r_i, n..2n-1 reflections s_i:
     # r_i r_j = r_(i+j), r_i s_j = s_(i+j), s_i r_j = s_(i-j), s_i s_j = r_(i-j)
-    i = np.arange(n, dtype=np.intc)
-    plus, minus = (i[:, None] + i) % n, (i[:, None] - i) % n
-    table = np.block([[plus, plus + n], [minus + n, minus]])
-    labels = [f"r{k}" for k in range(n)] + [f"s{k}" for k in range(n)]
-    return _trusted_group(table, labels, f"D{n}")
+    # (i + j) mod n over j is up[i:i + n], and (i - j) mod n is down[n-1-i:]
+    up = array("i", range(n)) * 2
+    down = array("i", range(n - 1, -1, -1)) * 2
+    up_s = array("i", range(n, 2 * n)) * 2
+    down_s = array("i", range(2 * n - 1, n - 1, -1)) * 2
+    rows = tuple(up[i:i + n] + up_s[i:i + n] for i in range(n)) + tuple(
+        down_s[n - 1 - i:2 * n - 1 - i] + down[n - 1 - i:2 * n - 1 - i]
+        for i in range(n))
+    labels = tuple([f"r{k}" for k in range(n)] + [f"s{k}" for k in range(n)])
+    # r_k^-1 = r_-k, and every reflection is an involution
+    inverses = array("i", [-k % n for k in range(n)] + list(range(n, 2 * n)))
+    return FiniteGroup(rows, labels, 0, inverses, f"D{n}")
 
 
 _QUAT_LABELS = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
@@ -413,7 +304,10 @@ def _build_quaternion() -> FiniteGroup:
             a2, s2 = j // 2, 1 if j % 2 == 0 else -1
             axis, sign = q_mul(a1, s1, a2, s2)
             table[i][j] = code(axis, sign)
-    return _trusted_group(np.array(table), _QUAT_LABELS, "Q8")
+    # 1 and -1 are their own inverses; the others swap with their negatives
+    inverses = array("i", [i if i < 2 else i ^ 1 for i in range(8)])
+    return FiniteGroup(tuple(array("i", row) for row in table), _QUAT_LABELS, 0,
+                       inverses, "Q8")
 
 
 @lru_cache(maxsize=None)
@@ -459,13 +353,14 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     if order > MAX_ORDER:
         raise GroupTooLarge(
             f"product order {order} exceeds cap {MAX_ORDER}")
+    from . import _tables
     n2 = g2.order
-    t1, t2 = g1.table_array(), g2.table_array()
-    # entry ((a1, b1), (a2, b2)) is (a1*a2, b1*b2), flattened row-major
-    table = (t1[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(order, order)
-    labels = [f"({la},{lb})" for la in g1.labels for lb in g2.labels]
-    return _trusted_group(table, labels, f"{g1.name}x{g2.name}",
-                          identity=g1.identity * n2 + g2.identity)
+    rows = _tables.product_rows(_tables.table_array(g1), _tables.table_array(g2))
+    labels = tuple(f"({la},{lb})" for la in g1.labels for lb in g2.labels)
+    inverses = array("i", [g1.inv(a) * n2 + g2.inv(b)
+                           for a in range(g1.order) for b in range(n2)])
+    return FiniteGroup(rows, labels, g1.identity * n2 + g2.identity, inverses,
+                       f"{g1.name}x{g2.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -495,19 +390,6 @@ def dump_cayley_table(struct: FiniteSemigroup, path) -> None:
 
 
 def structure_orders(group: FiniteGroup) -> dict[int, int]:
-    """Histogram of element orders, an order-multiset isomorphism heuristic.
-
-    Walks x -> x*a for every a at once; a leaves the walk when x reaches the
-    identity, after as many steps as its order."""
-    t = group.table_array()
-    a = x = np.arange(group.order)
-    hist: dict[int, int] = {}
-    k = 1
-    while a.size:
-        done = x == group.identity
-        if done.any():
-            hist[k] = int(done.sum())
-        a, x = a[~done], x[~done]
-        x = t[x, a]
-        k += 1
-    return hist
+    """Histogram of element orders, an order-multiset isomorphism heuristic."""
+    from . import _tables
+    return _tables.element_orders(_tables.table_array(group), group.identity)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterator, Sequence
 
 
@@ -36,6 +35,9 @@ def map_tasks(fn: Callable, tasks: Sequence, workers: int) -> list:
     """[fn(t) for t in tasks], in a pool of that many worker processes when
     workers > 1, else in this process; results keep the order of tasks."""
     if workers > 1:
+        # imported here: concurrent.futures and multiprocessing cost start-up
+        # time that a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]

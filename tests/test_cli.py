@@ -221,3 +221,28 @@ class TestSubprocess:
             [sys.executable, "-m", "nclosed", "check", "Z4", "--nope"],
             capture_output=True, env=self.env())
         assert proc.returncode == 1
+
+    def test_row_commands_load_neither_numpy_nor_a_pool(self):
+        # named and perm(...) groups are built without numpy, and a serial
+        # run starts no pool; `group` is the control that does load numpy
+        script = """
+import contextlib, io, sys
+import nclosed
+from nclosed.cli import main
+
+def heavy():
+    return sorted({"numpy", "concurrent.futures"} & set(sys.modules))
+
+assert not heavy(), heavy()
+for argv in (["subgroups", "D30"], ["subgroups", "perm(4): (1 2 3), (2 3 4)"],
+             ["scan", "Z4"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--jobs", "1"]) == 0, argv
+    assert not heavy(), (argv, heavy())
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["group", "Z4", "--jobs", "1"]) == 0
+assert "numpy" in sys.modules
+"""
+        proc = subprocess.run([sys.executable, "-c", script], env=self.env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

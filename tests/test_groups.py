@@ -1,5 +1,5 @@
 import json
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -192,6 +192,71 @@ class TestNamedFamilies:
         for g in (make_named("cyclic", 7), make_named("symmetric", 4),
                   make_named("dihedral", 6), make_named("quaternion", 8)):
             assert g.identity == 0
+
+
+def _reference_group(elements, compose):
+    """Table, identity and inverses of a group given by its elements in
+    index order and their product, all by search over the elements."""
+    index = {e: i for i, e in enumerate(elements)}
+    table = [[index[compose(x, y)] for y in elements] for x in elements]
+    identity = next(e for e, row in enumerate(table) if row == list(range(len(table))))
+    inverses = [row.index(identity) for row in table]
+    return table, identity, inverses
+
+
+def _hamilton(p, q):
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+
+def _reference(family, n):
+    """The named group's elements, labels and product from its defining
+    rule; elements in the documented index order."""
+    if family == "cyclic":
+        return range(n), [str(k) for k in range(n)], lambda x, y: (x + y) % n
+    if family == "dihedral":
+        # r_k: x -> x + k and s_k: x -> k - x on the vertices Z_n
+        maps = ([tuple((k + x) % n for x in range(n)) for k in range(n)]
+                + [tuple((k - x) % n for x in range(n)) for k in range(n)])
+        labels = [f"r{k}" for k in range(n)] + [f"s{k}" for k in range(n)]
+        return maps, labels, lambda f, g: tuple(f[g[x]] for x in range(n))
+    if family == "symmetric":
+        # lexicographic one-line order; the right factor applies first
+        perms = list(permutations(range(n)))
+        return perms, None, lambda x, y: tuple(x[y[i]] for i in range(n))
+    units = {"1": (1, 0, 0, 0), "i": (0, 1, 0, 0), "j": (0, 0, 1, 0), "k": (0, 0, 0, 1)}
+    labels = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
+    quats = [tuple(-c for c in units[s[1:]]) if s.startswith("-") else units[s]
+             for s in labels]
+    return quats, labels, _hamilton
+
+
+NAMED = ([("cyclic", n) for n in range(1, 17)] + [("cyclic", 500)]
+         + [("dihedral", n) for n in range(3, 13)]
+         + [("symmetric", n) for n in range(1, 6)] + [("quaternion", 8)])
+
+
+class TestNamedFamiliesAgainstReference:
+    """The pure-Python builders against tables built here from each
+    family's defining rule."""
+
+    @pytest.mark.parametrize("family,n", NAMED)
+    def test_rows_identity_inverses(self, family, n):
+        g = make_named(family, n)
+        elements, labels, compose = _reference(family, n)
+        elements = list(elements)
+        table, identity, inverses = _reference_group(elements, compose)
+        assert g.table_lists() == table
+        assert g.identity == identity == 0
+        assert [g.inv(a) for a in range(g.order)] == inverses
+        if labels is not None:
+            assert list(g.labels) == labels
+        if family == "symmetric":
+            assert [g.permutation_of(a) for a in range(g.order)] == elements
 
 
 class TestDirectProduct:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 from pathlib import Path
 
@@ -63,7 +64,7 @@ class TestScanClassification:
 
     def test_pool_is_capped_at_available_cpus(self, monkeypatch, serial_pool):
         monkeypatch.setattr(util, "available_cpus", lambda: 3)
-        monkeypatch.setattr(util, "ProcessPoolExecutor", serial_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool)
         g = parse_group_spec("Z12")
         pooled = run_scan(g, seed=1, jobs=100_000)
         assert serial_pool.sizes == [3, 12]  # three workers, four chunks each

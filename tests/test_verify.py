@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 from collections import Counter
 from functools import reduce
@@ -206,20 +207,23 @@ class TestMutationDetection:
         everywhere = closedness.ClosednessProfile(start=2, period=1, closed=(2,))
         monkeypatch.setattr(closedness, "closedness_profile", lambda d: everywhere)
         report = run_verification(("S3",), seed=0)
-        cert = next(v for t in report.claims.values() for v in t.violations)
+        cert = next((v for t in report.claims.values() for v in t.violations
+                     if v.get("subset") and v.get("n")), None)
         monkeypatch.undo()
-        # rebuild the group purely from the certificate and re-run the check
+        assert cert is not None, "no certificate names a subset and an n"
+        # rebuild the group purely from the certificate and re-run the check:
+        # the mutant called the subset n-closed, the real engine does not
         from nclosed.groups import validate_cayley_table
         from nclosed.subsets import GSubset
         g = validate_cayley_table(cert["table"], cert["labels"])
-        if cert.get("subset") and cert.get("n"):
-            d = GSubset.from_labels(g, cert["subset"])
-            assert isinstance(closedness.is_n_closed(d, cert["n"]), bool)
+        d = GSubset.from_labels(g, cert["subset"])
+        assert cert["detail"].startswith("engine True")
+        assert closedness.is_n_closed(d, cert["n"]) is False
 
 
 class TestPool:
     def test_pool_is_capped_at_tasks_and_available_cpus(self, monkeypatch, serial_pool):
-        monkeypatch.setattr(util, "ProcessPoolExecutor", serial_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool)
         monkeypatch.setattr(util, "available_cpus", lambda: 4)
         specs = ("Z2", "Z3", "S3")
         capped = run_verification(specs, jobs=100_000)
