@@ -11,6 +11,7 @@ rows runs without numpy.
 from __future__ import annotations
 
 from array import array
+from itertools import chain
 
 import numpy as np
 
@@ -32,6 +33,12 @@ def _as_array(table, max_order: int) -> np.ndarray:
         raise GroupTooLarge(f"order {n} exceeds the cap of {max_order}")
     try:
         square = all(len(row) == n for row in table)
+        # numpy would truncate 0.9 to 0 and read "0" or true as an integer;
+        # map and set walk the entries in C, so this costs no Python loop
+        kinds = set(map(type, chain.from_iterable(table))) if square else ()
+        for kind in kinds:
+            if kind is bool or not issubclass(kind, (int, np.integer)):
+                raise TypeError(f"got {kind.__name__}")
         t = np.array(table, dtype=np.int64) if square else None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"table entries must be integers: {exc}") from None
@@ -149,7 +156,11 @@ def table_array(struct) -> np.ndarray:
 
 
 def is_abelian(t: np.ndarray) -> bool:
-    return bool((t == t.T).all())
+    """t == t.T, compared in row blocks so that no order^2 mask is built."""
+    n = len(t)
+    step = max(1, (1 << 18) // n)
+    return all((t[lo:lo + step] == t[:, lo:lo + step].T).all()
+               for lo in range(0, n, step))
 
 
 def element_orders(t: np.ndarray, identity: int) -> dict[int, int]:

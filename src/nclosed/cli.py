@@ -138,7 +138,7 @@ def cmd_coset(args) -> int:
     g = parse_group_spec(args.group)
     h = generated_subgroup(parse_subset_spec(args.subgroup, g).elements())
     a = _single_element(g, args.rep)
-    report = closedness.analyze_coset(a, h, seed=args.seed)
+    report = closedness.analyze_coset(a, h)
 
     spectrum = None
     if report.commutes:
@@ -235,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes, at most one per available CPU "
                              "(default: the CPUs this process may use)")
     common.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled tuple checks (default 0)")
+                        help="seed for the sampled engine/oracle cross-checks "
+                             "of verify (default 0); scan and verify echo it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("group", parents=[common], help="describe a group")

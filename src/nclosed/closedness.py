@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import (
     AlreadyClosed,
@@ -30,7 +29,6 @@ from .errors import (
     NonCommutingCoset,
     NotNClosed,
     NotProperSubgroup,
-    PrefixNotInD,
     RepInSubgroup,
     TheoremViolation,
 )
@@ -43,11 +41,7 @@ from .subsets import (
     translate_mask_left,
     translate_mask_right,
 )
-from .util import derived_rng, iter_bits
-
-# exhaustive prefix-tuple sweeps cap out here; beyond it, seeded samples
-TUPLE_SWEEP_BUDGET = 256
-TUPLE_SAMPLES = 64
+from .util import iter_bits
 
 ORACLE_BUDGET = 200_000
 
@@ -244,19 +238,26 @@ class CosetReport:
         return self.least_exponent if self.commutes else None
 
 
-def _prefix_tuples(ids: Sequence[int], length: int, rng) -> list[tuple[int, ...]]:
-    if len(ids) ** length <= TUPLE_SWEEP_BUDGET:
-        return list(itertools.product(ids, repeat=length))
-    return [tuple(rng.choice(ids) for _ in range(length))
-            for _ in range(TUPLE_SAMPLES)]
+def _prefix_products(struct: FiniteSemigroup, mask: int, k: int) -> list[int]:
+    """D^k for k >= 1, sorted: the product of every length-k tuple from D.
+
+    Built with Python sets from the rows, not through _powers, so the
+    checks that read it stay independent of the engine they check. Each
+    prefix check depends on a tuple only through its product, so checking
+    every p in D^k once covers every tuple exactly."""
+    ids = list(iter_bits(mask))
+    prods = set(ids)
+    for _ in range(k - 1):
+        prods = {row[q] for row in map(struct.row, prods) for q in ids}
+    return sorted(prods)
 
 
-def analyze_coset(a: Element, h: Subgroup, *, seed: int = 0) -> CosetReport:
+def analyze_coset(a: Element, h: Subgroup) -> CosetReport:
     """Commuting flag, least exponent t, and closedness profile of L = a*H.
 
     While computing, re-verifies that every b in L translates H onto L from
-    both sides, and that length-(t-1) prefix products from L map L back onto
-    H; failures are recorded as certificates on the report.
+    both sides, and that every product p in L^(t-1) maps L back onto H from
+    both sides; failures are recorded as certificates on the report.
     """
     same_structure(a.owner, h.owner)
     g = h.owner
@@ -271,31 +272,20 @@ def analyze_coset(a: Element, h: Subgroup, *, seed: int = 0) -> CosetReport:
     violations: list[dict] = []
     if commutes:
         h_labels = h.carrier.labels()
-        lids = coset.indices()
-        for b in lids:
+        for b in coset.indices():
             if (translate_mask_left(g, b, h.mask) != lmask
                     or translate_mask_right(g, h.mask, b) != lmask):
                 violations.append(make_certificate(
                     g, "coset-translate", subgroup=h_labels, rep=a.label,
                     witness=g.labels[b],
                     detail="b*H = H*b = L fails for b in L"))
-        shift = g.pow(a.index, t - 1)
-        if (translate_mask_left(g, shift, lmask) != h.mask
-                or translate_mask_right(g, lmask, shift) != h.mask):
-            violations.append(make_certificate(
-                g, "coset-shift", subgroup=h_labels, rep=a.label,
-                n=t + 1, detail="a^(k-2)*L = L*a^(k-2) = H fails"))
-        rng = derived_rng(seed, "coset-prefix", g.name, h.mask, a.index)
-        for tup in _prefix_tuples(lids, t - 1, rng):
-            p = tup[0]
-            for q in tup[1:]:
-                p = g.mul(p, q)
-            if (translate_mask_left(g, p, lmask) != h.mask
-                    or translate_mask_right(g, lmask, p) != h.mask):
+        # L = a*H = H*a, so p*L = H iff p*a in H, and L*p = H iff a*p in H
+        for p in _prefix_products(g, lmask, t - 1):
+            if g.mul(p, a.index) not in h or g.mul(a.index, p) not in h:
                 violations.append(make_certificate(
                     g, "coset-prefix", subgroup=h_labels, rep=a.label,
-                    subset=coset.labels(), witness=[g.labels[i] for i in tup],
-                    detail="prefix product fails to map L back onto H"))
+                    subset=coset.labels(), n=t + 1, witness=g.labels[p],
+                    detail="prefix product p in L^(t-1) fails p*L = L*p = H"))
     return CosetReport(
         rep=a,
         subgroup=h,
@@ -319,14 +309,14 @@ class SubgroupReport:
         return len(self.cosets) + 1
 
 
-def analyze_subgroup(h: Subgroup, *, seed: int = 0) -> SubgroupReport:
+def analyze_subgroup(h: Subgroup) -> SubgroupReport:
     """One analyze_coset report per left coset of a proper subgroup H other
     than H itself, in left_cosets order."""
     g = h.owner
     if h.order >= g.order:
         raise NotProperSubgroup("subgroup equals the whole group")
     return SubgroupReport(h, tuple(
-        analyze_coset(Element(g, rep), h, seed=seed)
+        analyze_coset(Element(g, rep), h)
         for rep in left_cosets(h).representatives if rep not in h))
 
 
@@ -445,13 +435,13 @@ class SubgroupExtraction:
     violations: tuple[dict, ...] = ()
 
 
-def extract_subgroup(d: GSubset, n: int, *, seed: int = 0) -> SubgroupExtraction:
+def extract_subgroup(d: GSubset, n: int) -> SubgroupExtraction:
     """Recover H = d^(n-2)*D from an n-closed, non-2-closed subset.
 
     Certifies that H is a subgroup, that D = b*H for the least b in D,
-    and that the shift set is independent of the choice of d and of the
-    (n-2)-tuple prefix (exhaustively for small D, seeded samples above the
-    budget). Any failed identity lands on the report as a certificate.
+    and that p*D = H for every product p in D^(n-2), so that the shift set
+    depends neither on the choice of d nor on the tuple prefix. Any failed
+    identity lands on the report as a certificate.
     """
     if n < 3:
         raise ValueError(f"extraction requires n >= 3, got {n}")
@@ -464,37 +454,25 @@ def extract_subgroup(d: GSubset, n: int, *, seed: int = 0) -> SubgroupExtraction
         raise NotNClosed(f"subset is not {n}-closed")
     if profile.is_closed(2):
         raise AlreadyClosed("subset is 2-closed; extraction requires a non-subgroup")
-    ids = d.indices()
-    d0 = ids[0]
-    shift = g.pow(d0, n - 2)
-    hmask = translate_mask_left(g, shift, d.mask)
+    b = d.indices()[0]
+    hmask = translate_mask_left(g, g.pow(b, n - 2), d.mask)
     subgroup_subset = GSubset(g, hmask)
     violations: list[dict] = []
     d_labels = d.labels()
     if not is_subgroup(subgroup_subset):
         violations.append(make_certificate(
             g, "extraction-subgroup", subset=d_labels, n=n,
-            witness=g.labels[d0], detail="d^(n-2)*D failed the subgroup check"))
-    b = d0
+            witness=g.labels[b], detail="d^(n-2)*D failed the subgroup check"))
     if translate_mask_left(g, b, hmask) != d.mask:
         violations.append(make_certificate(
             g, "extraction-coset", subset=d_labels, n=n,
             witness=g.labels[b], detail="D != b*H for b in D"))
-    for other in ids[1:]:
-        if translate_mask_left(g, g.pow(other, n - 2), d.mask) != hmask:
-            violations.append(make_certificate(
-                g, "extraction-choice", subset=d_labels, n=n,
-                witness=g.labels[other], detail="shift set depends on choice of d"))
-    rng = derived_rng(seed, "extract-prefix", g.name, d.mask, n)
-    for tup in _prefix_tuples(ids, n - 2, rng):
-        p = tup[0]
-        for q in tup[1:]:
-            p = g.mul(p, q)
+    for p in _prefix_products(g, d.mask, n - 2):
         if translate_mask_left(g, p, d.mask) != hmask:
             violations.append(make_certificate(
                 g, "extraction-prefix", subset=d_labels, n=n,
-                witness=[g.labels[i] for i in tup],
-                detail="tuple prefix shift differs from d^(n-2)*D"))
+                witness=g.labels[p],
+                detail="prefix product p in D^(n-2) gives p*D != d^(n-2)*D"))
     return SubgroupExtraction(
         source=d,
         n=n,
@@ -504,30 +482,22 @@ def extract_subgroup(d: GSubset, n: int, *, seed: int = 0) -> SubgroupExtraction
     )
 
 
-def semigroup_shift_2closed(d: GSubset, n: int, prefixes: Sequence[Sequence[Element]]
-                            ) -> list[tuple[GSubset, bool]]:
-    """Shift an n-closed semigroup subset by each prefix; report 2-closedness.
+def semigroup_shift_2closed(d: GSubset, n: int) -> dict[int, tuple[GSubset, bool]]:
+    """Shift an n-closed semigroup subset by every prefix product p in
+    D^(n-2); map each p to its shift set p*D and that set's 2-closedness.
 
-    D's n-closedness is decided once, and each distinct shift set p*D (p the
-    prefix product) once. A False second component would contradict the
-    shift-set theorem and is treated as a violation by callers.
+    D's n-closedness is decided once, and each shift set once. A False
+    second component would contradict the shift-set theorem and is treated
+    as a violation by callers.
     """
     if n < 3:
         raise ValueError(f"shift requires n >= 3, got {n}")
     _require_nonempty(d)
-    struct = d.owner
-    for prefix in prefixes:
-        if len(prefix) != n - 2:
-            raise ValueError(f"prefix must have length n-2 = {n - 2}, got {len(prefix)}")
-        same_structure(struct, *(x.owner for x in prefix))
-        for x in prefix:
-            if x.index not in d:
-                raise PrefixNotInD(f"prefix element {x.label} is not in the subset")
     if not is_n_closed(d, n):
         raise NotNClosed(f"subset is not {n}-closed")
-    products = [reduce(struct.mul, (x.index for x in prefix)) for prefix in prefixes]
+    struct = d.owner
     shifts = {}
-    for p in dict.fromkeys(products):
+    for p in _prefix_products(struct, d.mask, n - 2):
         shifted = GSubset(struct, translate_mask_left(struct, p, d.mask))
         shifts[p] = (shifted, is_n_closed(shifted, 2))
-    return [shifts[p] for p in products]
+    return shifts

@@ -106,10 +106,6 @@ class NonCommutingCoset(NClosedError):
     """Operation requires aH = Ha."""
 
 
-class PrefixNotInD(NClosedError):
-    """Shift prefix contains an element outside the subset."""
-
-
 class NotProperSubgroup(NClosedError):
     """Operation requires a proper subgroup."""
 

@@ -95,8 +95,7 @@ class ScanReport:
         return "\n".join(lines)
 
 
-def _classify_range(g: FiniteGroup, lo: int, hi: int,
-                    seed: int) -> tuple[list[ScanEntry], list[dict]]:
+def _classify_range(g: FiniteGroup, lo: int, hi: int) -> tuple[list[ScanEntry], list[dict]]:
     entries = []
     violations: list[dict] = []
     for mask in range(lo, hi):
@@ -104,7 +103,7 @@ def _classify_range(g: FiniteGroup, lo: int, hi: int,
         least = closedness.closedness_profile(d).least
         subgroup_mask = rep = None
         if least is not None and least > 2:
-            ext = closedness.extract_subgroup(d, least, seed=seed)
+            ext = closedness.extract_subgroup(d, least)
             subgroup_mask = ext.subgroup.mask
             rep = ext.coset_rep.index
             violations.extend(ext.violations)
@@ -149,7 +148,8 @@ def run_scan(g: FiniteGroup, *, seed: int = 0, jobs: int = 1) -> ScanReport:
     Each subset that is n-closed but not 2-closed carries its extraction
     result (the recovered subgroup and the coset representative). The
     classification is then checked against the subgroup lattice, and every
-    disagreement is recorded as a violation.
+    disagreement is recorded as a violation. Every check is exact, so seed
+    changes nothing computed; the nclosed.scan/2 payload only echoes it.
     """
     if g.order > SCAN_ORDER_CAP:
         raise GroupTooLargeForScan(
@@ -159,10 +159,10 @@ def run_scan(g: FiniteGroup, *, seed: int = 0, jobs: int = 1) -> ScanReport:
     workers = worker_count(jobs, total - 1)
     if workers > 1 and total >= _POOL_THRESHOLD:
         chunk = (total - 1 + 4 * workers - 1) // (4 * workers)
-        tasks = [(g, lo, min(lo + chunk, total), seed)
+        tasks = [(g, lo, min(lo + chunk, total))
                  for lo in range(1, total, chunk)]
     else:
-        workers, tasks = 1, [(g, 1, total, seed)]
+        workers, tasks = 1, [(g, 1, total)]
     entries: list[ScanEntry] = []
     violations: list[dict] = []
     for part_entries, part_violations in map_tasks(_scan_range_task, tasks, workers):

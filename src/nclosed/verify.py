@@ -19,7 +19,6 @@ from .errors import (
     AlreadyClosed,
     GroupTooLargeForScan,
     NotNClosed,
-    PrefixNotInD,
     TheoremViolation,
 )
 from .groups import Element, FiniteGroup, FiniteSemigroup, validate_semigroup_table
@@ -177,7 +176,7 @@ def sweep_cor22(groups) -> tuple[int, list[dict]]:
     return checked, violations
 
 
-def sweep_extraction(g: FiniteGroup, seed: int = 0) -> tuple[int, list[dict]]:
+def sweep_extraction(g: FiniteGroup) -> tuple[int, list[dict]]:
     """Exhaustive subset scan: every n-closed non-2-closed D must extract."""
     if g.order > 14:
         raise GroupTooLargeForScan(
@@ -194,7 +193,7 @@ def sweep_extraction(g: FiniteGroup, seed: int = 0) -> tuple[int, list[dict]]:
                 continue
             checked += 1
             try:
-                ext = closedness.extract_subgroup(d, n, seed=seed)
+                ext = closedness.extract_subgroup(d, n)
             except (NotNClosed, AlreadyClosed, TheoremViolation) as exc:
                 violations.append(closedness.make_certificate(
                     g, "T2.1", subset=d.labels(), n=n,
@@ -204,8 +203,11 @@ def sweep_extraction(g: FiniteGroup, seed: int = 0) -> tuple[int, list[dict]]:
     return checked, violations
 
 
-def sweep_semigroup_shifts(struct: FiniteSemigroup, seed: int = 0) -> tuple[int, list[dict]]:
-    """Shift sets of every n-closed subset of a semigroup must be 2-closed."""
+def sweep_semigroup_shifts(struct: FiniteSemigroup) -> tuple[int, list[dict]]:
+    """Shift sets of every n-closed subset of a semigroup must be 2-closed.
+
+    Counts every length-(n-2) prefix tuple as one check: each one's shift
+    set is p*D for its product p, and every p in D^(n-2) is checked."""
     if struct.order > 10:
         raise GroupTooLargeForScan(
             f"semigroup subset sweep caps at order 10, got {struct.order}")
@@ -217,25 +219,20 @@ def sweep_semigroup_shifts(struct: FiniteSemigroup, seed: int = 0) -> tuple[int,
         if least is None or least > SEMIGROUP_SCAN_MAX:
             continue
         n = max(least, 3)  # a 2-closed set is n-closed for every n
-        rng = derived_rng(seed, "semigroup-prefix", struct.name, mask, n)
-        tuples = closedness._prefix_tuples(d.indices(), n - 2, rng)
-        checked += len(tuples)
+        checked += d.size ** (n - 2)
         try:
-            shifts = closedness.semigroup_shift_2closed(
-                d, n, [[Element(struct, i) for i in tup] for tup in tuples])
-        except (NotNClosed, PrefixNotInD) as exc:
-            violations.extend(closedness.make_certificate(
+            shifts = closedness.semigroup_shift_2closed(d, n)
+        except NotNClosed as exc:
+            violations.append(closedness.make_certificate(
                 struct, "C2.1", subset=d.labels(), n=n,
-                prefix=[struct.labels[i] for i in tup],
-                detail=f"shift refused: {exc}") for tup in tuples)
+                detail=f"shift refused: {exc}"))
             continue
-        for shifted, ok in shifts:
+        for p, (shifted, ok) in shifts.items():
             if not ok:
-                pair = closedness.n_closed_witness(shifted, 2)
                 violations.append(closedness.make_certificate(
                     struct, "C2.1", subset=d.labels(), n=n,
-                    witness=[struct.labels[i] for i in (pair or [])],
-                    detail="shift set is not 2-closed"))
+                    witness=struct.labels[p],
+                    detail="shift set p*D is not 2-closed"))
     return checked, violations
 
 
@@ -354,12 +351,12 @@ def _check_coset(report: closedness.CosetReport,
                 tallies["T2.3"].violations.append(exc.certificate)
 
 
-def _check_subgroup(h: Subgroup, seed: int, tallies: dict[str, ClaimTally]) -> None:
+def _check_subgroup(h: Subgroup, tallies: dict[str, ClaimTally]) -> None:
     """Both normality verdicts and the coset battery, all reading one
     analyze_subgroup report, so each left coset is analysed once."""
     g = h.owner
     h_labels = h.carrier.labels()
-    report = closedness.analyze_subgroup(h, seed=seed)
+    report = closedness.analyze_subgroup(h)
 
     verdict = normality.normal_iff_index_plus_one(report)
     tallies["T3.2"].checked += 1
@@ -391,13 +388,12 @@ def _check_subgroup(h: Subgroup, seed: int, tallies: dict[str, ClaimTally]) -> N
         _check_coset(coset, tallies)
 
 
-def _verify_group_task(args: tuple[FiniteGroup, int]) -> dict[str, ClaimTally]:
-    g, seed = args
+def _verify_group_task(g: FiniteGroup) -> dict[str, ClaimTally]:
     tallies = _new_tallies()
     for h in proper_subgroups(g):
-        _check_subgroup(h, seed, tallies)
+        _check_subgroup(h, tallies)
     if g.order <= EXHAUSTIVE_SUBSET_ORDER_CAP:
-        checked, violations = sweep_extraction(g, seed=seed)
+        checked, violations = sweep_extraction(g)
         for cid in ("T2.1", "C2.01"):
             tallies[cid].checked += checked
             tallies[cid].violations.extend(
@@ -417,14 +413,14 @@ def run_verification(specs=DEFAULT_CORPUS, *, seed: int = 0,
             raise GroupTooLargeForScan(
                 f"verify enumerates subgroups only up to order {VERIFY_ORDER_CAP}, "
                 f"got {g.name} of order {g.order}")
-        tasks.append((g, seed))
+        tasks.append(g)
     tallies = _new_tallies()
     for part in map_tasks(_verify_group_task, tasks, worker_count(jobs, len(tasks))):
         _merge(tallies, part)
 
     fixtures = tuple(f"mulZ{k}" for k in SEMIGROUP_FIXTURE_MODULI)
     for k in SEMIGROUP_FIXTURE_MODULI:
-        checked, violations = sweep_semigroup_shifts(multiplicative_semigroup(k), seed)
+        checked, violations = sweep_semigroup_shifts(multiplicative_semigroup(k))
         tallies["C2.1"].checked += checked
         tallies["C2.1"].violations.extend(violations)
 

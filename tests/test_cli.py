@@ -191,6 +191,19 @@ class TestDescribe:
         assert code == 0
         assert json.loads(out)["order"] == 8
 
+    @pytest.mark.parametrize("table", [
+        [[0, 1.0], [1, 0.9]],  # numpy would truncate 0.9 to 0
+        [["0", "1"], ["1", "0"]],
+        [[False, True], [True, False]],
+        [[0, True], [True, 0]],
+    ], ids=["float", "string", "boolean", "mixed-boolean"])
+    def test_non_integer_table_entries_are_input_errors(self, capsys, tmp_path, table):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"table": table}))
+        code, out, err = run_cli(capsys, "group", f"table:{path}", "--format", "json")
+        assert code == 1 and out == ""
+        assert "table entries must be integers" in err
+
 
 class TestSubprocess:
     def env(self):
@@ -235,7 +248,8 @@ def heavy():
 
 assert not heavy(), heavy()
 for argv in (["subgroups", "D30"], ["subgroups", "perm(4): (1 2 3), (2 3 4)"],
-             ["scan", "Z4"]):
+             ["scan", "Z4"], ["coset", "Z9", "--subgroup", "3", "--rep", "1", "--power", "2"],
+             ["check", "S3", "--subset", "(1 3),(1 2 3)", "--n", "3"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv + ["--jobs", "1"]) == 0, argv
     assert not heavy(), (argv, heavy())

@@ -26,7 +26,6 @@ from nclosed.errors import (
     EmptySubset,
     NonCommutingCoset,
     NotNClosed,
-    PrefixNotInD,
     RepInSubgroup,
 )
 from nclosed.groups import Element, FiniteGroup, make_named
@@ -400,29 +399,26 @@ class TestSemigroupShift:
         m6 = multiplicative_semigroup(6)
         d = GSubset.from_labels(m6, ["3", "5"])
         assert is_n_closed(d, 3) and not is_n_closed(d, 2)
-        [(shifted, ok)] = semigroup_shift_2closed(d, 3, [[Element(m6, 3)]])
+        shifts = semigroup_shift_2closed(d, 3)
+        assert sorted(shifts) == [3, 5]
+        shifted, ok = shifts[3]
         assert shifted.labels() == ["3"] and ok
-        [(shifted, ok)] = semigroup_shift_2closed(d, 3, [[Element(m6, 5)]])
+        shifted, ok = shifts[5]
         assert shifted.labels() == ["1", "3"] and ok
 
     def test_group_case_matches_extraction(self, z4):
         d = GSubset.from_indices(z4, [1, 3])
-        [(shifted, ok)] = semigroup_shift_2closed(d, 3, [[Element(z4, 1)]])
-        assert shifted.indices() == [0, 2] and ok
-
-    def test_prefix_validation(self, z4):
-        d = GSubset.from_indices(z4, [1, 3])
-        with pytest.raises(PrefixNotInD):
-            semigroup_shift_2closed(d, 3, [[Element(z4, 2)]])
-        with pytest.raises(ValueError):
-            semigroup_shift_2closed(d, 3, [[Element(z4, 1), Element(z4, 1)]])
+        shifts = semigroup_shift_2closed(d, 3)
+        assert sorted(shifts) == [1, 3]
+        for shifted, ok in shifts.values():
+            assert shifted.indices() == [0, 2] and ok
 
     def test_not_n_closed_rejected(self):
         m6 = multiplicative_semigroup(6)
         d = GSubset.from_labels(m6, ["2", "5"])
         if not is_n_closed(d, 3):
             with pytest.raises(NotNClosed):
-                semigroup_shift_2closed(d, 3, [[Element(m6, 2)]])
+                semigroup_shift_2closed(d, 3)
 
 
 class TestCosetMembershipPattern:

@@ -320,6 +320,15 @@ class TestVectorisedFacts:
         assert g.identity == 3
         assert (g.is_abelian(), structure_orders(g)) == self.reference(g)
 
+    def test_abelian_check_reaches_every_row_block(self):
+        # at order 600 the comparison runs in blocks of 436 rows, so the one
+        # unequal pair (x*y, y*x) sits in the second block
+        from nclosed import _tables
+        t = _tables.table_array(make_named("cyclic", 600)).copy()
+        assert _tables.is_abelian(t)
+        t[599, 1], t[1, 599] = 5, 7
+        assert not _tables.is_abelian(t)
+
 
 class TestElementArithmetic:
     def test_s3_composition_applies_right_first(self, s3):

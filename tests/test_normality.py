@@ -159,7 +159,7 @@ class TestOneReport:
 
     def test_one_report_per_coset_other_than_h(self, s3):
         h = Subgroup.from_labels(s3, ["e", "(1 2)"])
-        report = analyze_subgroup(h, seed=3)
+        report = analyze_subgroup(h)
         partition = left_cosets(h)
         assert report.index == partition.index == 3
         assert [c.rep.index for c in report.cosets] == \

@@ -114,6 +114,14 @@ PROFILE_FAULTS = {
 }
 
 
+def products(struct, ids, k):
+    """Every product of k factors from ids, with plain Python sets."""
+    out = set(ids)
+    for _ in range(k - 1):
+        out = {struct.mul(p, q) for p in out for q in ids}
+    return out
+
+
 class TestScanFaults:
     @pytest.mark.parametrize("fault", sorted(PROFILE_FAULTS))
     def test_wrong_profile_exits_2_with_replayable_certificates(
@@ -133,6 +141,29 @@ class TestScanFaults:
             d = GSubset.from_labels(g, cert["subset"])
             # each certificate claims least closedness n; the real engine disagrees
             assert real(d).least != cert["n"]
+
+    def test_non_coset_called_3_closed_fires_the_extraction_prefix_check(
+            self, monkeypatch, capsys):
+        fake = GSubset.from_labels(parse_group_spec("Z6"), ["1", "2"]).mask
+        real = closedness.closedness_profile
+        monkeypatch.setattr(closedness, "closedness_profile", lambda d: (
+            ClosednessProfile(3, 1, (3,)) if d.mask == fake else real(d)))
+        code = main(["scan", "Z6", "--format", "json", "--jobs", "1"])
+        payload = json.loads(capsys.readouterr().out)
+        monkeypatch.undo()
+        assert code == 2
+        certs = [c for c in payload["violations"] if c["claim"] == "extraction-prefix"]
+        assert certs
+        for cert in certs:
+            g = validate_cayley_table(cert["table"], cert["labels"])
+            ids = GSubset.from_labels(g, cert["subset"]).indices()
+            p, n = g.index_of_label(cert["witness"]), cert["n"]
+            # p is a product of n - 2 factors from D whose shift set differs
+            # from d^(n-2)*D for the least d in D, so D is not n-closed
+            [d_power] = products(g, ids[:1], n - 2)
+            assert p in products(g, ids, n - 2)
+            assert {g.mul(p, q) for q in ids} != {g.mul(d_power, q) for q in ids}
+            assert not products(g, ids, n) <= set(ids)
 
 
 class TestReportSchemas:

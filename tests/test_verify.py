@@ -1,7 +1,6 @@
 import concurrent.futures
 import json
 from collections import Counter
-from functools import reduce
 from pathlib import Path
 
 import jsonschema
@@ -22,6 +21,14 @@ from nclosed.verify import (
     sweep_extraction,
     sweep_semigroup_shifts,
 )
+
+
+def products(struct, ids, k):
+    """Every product of k factors from ids, with plain Python sets."""
+    out = set(ids)
+    for _ in range(k - 1):
+        out = {struct.mul(p, q) for p in out for q in ids}
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -47,12 +54,24 @@ class TestReport:
         for cid in CLAIMS:
             assert cid in text
 
-    def test_seed_changes_only_sampling_not_verdicts(self):
+    def test_seed_changes_only_sampling_not_verdicts(self, capsys):
         a = run_verification(("S3",), seed=1)
         b = run_verification(("S3",), seed=2)
         assert a.violation_count == b.violation_count == 0
-        assert {c: t.checked for c, t in a.claims.items() if c not in ("C2.1",)} \
-            == {c: t.checked for c, t in b.claims.items() if c not in ("C2.1",)}
+        assert a.cross_checks == b.cross_checks
+        assert {c: (t.checked, t.violations) for c, t in a.claims.items()} \
+            == {c: (t.checked, t.violations) for c, t in b.claims.items()}
+        # scan and coset checks are exact, so the seed is at most echoed;
+        # the coset's L^(t-1) has 5^4 tuples
+        for argv in (["scan", "Z6"], ["coset", "Z25", "--subgroup", "5", "--rep", "1"]):
+            payloads = []
+            for seed in (0, 5):
+                code = main([*argv, "--seed", str(seed), "--jobs", "1", "--format", "json"])
+                assert code == 0
+                payloads.append(json.loads(capsys.readouterr().out))
+            if argv[0] == "scan":
+                assert [p.pop("seed") for p in payloads] == [0, 5]
+            assert payloads[0] == payloads[1]
 
 
 class TestOnePass:
@@ -123,30 +142,32 @@ class TestSweeps:
         real_decide = closedness.is_n_closed
         real_shift = closedness.semigroup_shift_2closed
         decided = []  # (mask, n) of every engine decision, in order
-        calls = []  # (mask, n, prefixes, decisions made) per shift call
+        calls = []  # (D, n, shift sets, decisions made) per shift call
 
         def deciding(d, n):
             decided.append((d.mask, n))
             return real_decide(d, n)
 
-        def shifting(d, n, prefixes):
+        def shifting(d, n):
             start = len(decided)
-            out = real_shift(d, n, prefixes)
-            calls.append((d.mask, n, prefixes, decided[start:]))
+            out = real_shift(d, n)
+            calls.append((d, n, out, decided[start:]))
             return out
 
         monkeypatch.setattr(closedness, "is_n_closed", deciding)
         monkeypatch.setattr(closedness, "semigroup_shift_2closed", shifting)
         checked, violations = sweep_semigroup_shifts(struct)
         assert violations == [] and checked > len(calls) > 0
-        per_d = Counter((mask, n) for mask, n, _, _ in calls)
+        per_d = Counter((d.mask, n) for d, n, _, _ in calls)
         assert set(per_d.values()) == {1}, "one shift call per (D, n)"
-        for mask, n, prefixes, made in calls:
-            products = {reduce(struct.mul, (x.index for x in prefix))
-                        for prefix in prefixes}
-            # D once, then at most one decision per distinct prefix product p
-            assert made.count((mask, n)) == 1
-            assert len(made) - 1 <= len(products)
+        assert checked == sum(d.size ** (n - 2) for d, n, _, _ in calls)
+        for d, n, shifts, made in calls:
+            # the shift sets are keyed by D^(n-2), built here with plain sets
+            expected = products(struct, d.indices(), n - 2)
+            assert set(shifts) == expected
+            # D once, then one decision per prefix product p
+            assert made.count((d.mask, n)) == 1
+            assert len(made) - 1 == len(expected)
 
     def test_cross_checks_meet_quota(self):
         count, violations = cross_check_engine_oracle(seed=0)
@@ -200,8 +221,52 @@ class TestMutationDetection:
         for cert in certs:
             s = validate_semigroup_table(cert["table"], cert["labels"])
             d = GSubset.from_labels(s, cert["subset"])
-            assert len(cert["prefix"]) == cert["n"] - 2
             assert real(d, cert["n"])
+
+    def test_wrong_least_exponent_fires_the_coset_prefix_check(
+            self, monkeypatch, capsys):
+        real = closedness.least_exponent
+        monkeypatch.setattr(closedness, "least_exponent", lambda a, h: real(a, h) + 1)
+        code = main(["verify", "--corpus", "Z9", "--jobs", "1", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        monkeypatch.undo()
+        assert code == 2
+        certs = [c for c in payload["claims"]["T2.2.3"]["violations"]
+                 if c["claim"] == "coset-prefix"]
+        assert certs
+        from nclosed.groups import validate_cayley_table
+        for cert in certs:
+            g = validate_cayley_table(cert["table"], cert["labels"])
+            h = {g.index_of_label(x) for x in cert["subgroup"]}
+            coset = [g.index_of_label(x) for x in cert["subset"]]
+            p, n = g.index_of_label(cert["witness"]), cert["n"]
+            # p is a product of n - 2 factors from L that fails to map L
+            # onto H, so L is not n-closed at the n the mutant implied
+            assert p in products(g, coset, n - 2)
+            assert ({g.mul(p, x) for x in coset} != h
+                    or {g.mul(x, p) for x in coset} != h)
+            assert not products(g, coset, n) <= set(coset)
+
+    def test_flipped_shift_set_closedness_fires_c21(self, monkeypatch, capsys):
+        real = closedness.semigroup_shift_2closed
+        monkeypatch.setattr(closedness, "semigroup_shift_2closed", lambda d, n: {
+            p: (shifted, not ok) for p, (shifted, ok) in real(d, n).items()})
+        code = main(["verify", "--corpus", "Z2", "--jobs", "1", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        monkeypatch.undo()
+        assert code == 2
+        certs = payload["claims"]["C2.1"]["violations"]
+        assert certs
+        from nclosed.groups import validate_semigroup_table
+        for cert in certs:
+            s = validate_semigroup_table(cert["table"], cert["labels"])
+            ids = [s.index_of_label(x) for x in cert["subset"]]
+            p, n = s.index_of_label(cert["witness"]), cert["n"]
+            assert products(s, ids, n) <= set(ids)
+            assert p in products(s, ids, n - 2)
+            # the real shift set p*D is 2-closed; the mutant said it was not
+            shifted = {s.mul(p, q) for q in ids}
+            assert products(s, shifted, 2) <= shifted
 
     def test_certificate_is_replayable(self, monkeypatch):
         everywhere = closedness.ClosednessProfile(start=2, period=1, closed=(2,))
