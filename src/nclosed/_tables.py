@@ -1,11 +1,10 @@
 """Whole-table work on numpy copies of Cayley tables.
 
 Table validation (array conversion, closure, Light's associativity test,
-identity and inverse witnesses), the commutativity and element-order
-passes, and the direct-product arithmetic. `groups` imports this module
-inside the functions that need it, and `cli` inside the `group` command,
-so building a named or perm(...) group and every command that only reads
-rows runs without numpy.
+identity and inverse witnesses) and the commutativity and element-order
+passes. `groups` imports this module inside the functions that need it,
+and `cli` inside the `group` command, so building a named, perm(...) or
+product group and every command that only reads rows runs without numpy.
 """
 
 from __future__ import annotations
@@ -180,11 +179,3 @@ def element_orders(t: np.ndarray, identity: int) -> dict[int, int]:
         k += 1
     return hist
 
-
-def product_rows(t1: np.ndarray, t2: np.ndarray) -> tuple[array, ...]:
-    """Rows of the componentwise product of two tables, with (a, b) at
-    index a * len(t2) + b."""
-    n2 = len(t2)
-    order = len(t1) * n2
-    # entry ((a1, b1), (a2, b2)) is (a1*a2, b1*b2), flattened row-major
-    return rows_of((t1[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(order, order))

@@ -272,9 +272,10 @@ def analyze_coset(a: Element, h: Subgroup) -> CosetReport:
     violations: list[dict] = []
     if commutes:
         h_labels = h.carrier.labels()
+        # b*H = a*H iff a^-1*b in H, and H*b = H*a iff b*a^-1 in H
+        a_inv = g.inv(a.index)
         for b in coset.indices():
-            if (translate_mask_left(g, b, h.mask) != lmask
-                    or translate_mask_right(g, h.mask, b) != lmask):
+            if g.mul(a_inv, b) not in h or g.mul(b, a_inv) not in h:
                 violations.append(make_certificate(
                     g, "coset-translate", subgroup=h_labels, rep=a.label,
                     witness=g.labels[b],

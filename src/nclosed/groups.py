@@ -8,16 +8,18 @@ The permutation composition convention throughout is "apply the right
 factor first": (x*y) acts as x after y. Named constructors put the
 identity at index 0.
 
-Each row is an array("i"). The named families are built row by row in
-pure Python, with their inverses given by formula, so they load no numpy.
-Whole-table work (validating a table, the commutativity and element-order
-passes, direct products) runs on numpy in the private module _tables,
-which the functions doing that work import when they are called.
+Each row is an array("i"). The named families and direct products are
+built row by row in pure Python, with their inverses given by formula, so
+they load no numpy. Whole-table work (validating a table, the
+commutativity and element-order passes) runs on numpy in the private
+module _tables, which the functions doing that work import when they are
+called.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
@@ -353,14 +355,29 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     if order > MAX_ORDER:
         raise GroupTooLarge(
             f"product order {order} exceeds cap {MAX_ORDER}")
-    from . import _tables
-    n2 = g2.order
-    rows = _tables.product_rows(_tables.table_array(g1), _tables.table_array(g2))
+    n1, n2 = g1.order, g2.order
+    # (a1, b1) is index a1 * n2 + b1, and its row holds (a1 a2) * n2 + b1 b2
+    # at a2 * n2 + b2, each product taken in its own factor: the fieldwise
+    # sum of row a1 of g1, each entry repeated n2 times and scaled by n2,
+    # and row b1 of g2 repeated n1 times. Read as Python ints from their
+    # native-endian bytes, the parts scale and add with no carry between
+    # fields, as every entry is below the order. The part of g2 is rebuilt
+    # per row, so that only one row's worth of it is held at a time.
+    end, width = sys.byteorder, array("i").itemsize * order
+    rows = []
+    for a1 in range(n1):
+        spread = array("i", bytes(width))
+        for b2 in range(n2):
+            spread[b2::n2] = g1.row(a1)
+        high = int.from_bytes(spread, end) * n2
+        for b1 in range(n2):
+            low = int.from_bytes(g2.row(b1) * n1, end)
+            rows.append(array("i", (high + low).to_bytes(width, end)))
     labels = tuple(f"({la},{lb})" for la in g1.labels for lb in g2.labels)
     inverses = array("i", [g1.inv(a) * n2 + g2.inv(b)
-                           for a in range(g1.order) for b in range(n2)])
-    return FiniteGroup(rows, labels, g1.identity * n2 + g2.identity, inverses,
-                       f"{g1.name}x{g2.name}")
+                           for a in range(n1) for b in range(n2)])
+    return FiniteGroup(tuple(rows), labels, g1.identity * n2 + g2.identity,
+                       inverses, f"{g1.name}x{g2.name}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import time
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -21,7 +22,7 @@ from .errors import (
     NotNClosed,
     TheoremViolation,
 )
-from .groups import Element, FiniteGroup, FiniteSemigroup, validate_semigroup_table
+from .groups import Element, FiniteGroup, FiniteSemigroup
 from .parsing import parse_group_spec
 from .subsets import GSubset, Subgroup, proper_subgroups
 from .util import derived_rng, map_tasks, worker_count
@@ -136,9 +137,11 @@ def _merge(into: dict[str, ClaimTally], part: dict[str, ClaimTally]) -> None:
 
 @lru_cache(maxsize=None)
 def multiplicative_semigroup(k: int) -> FiniteSemigroup:
-    """Integers mod k under multiplication (associative, no inverses)."""
-    table = [[(i * j) % k for j in range(k)] for i in range(k)]
-    return validate_semigroup_table(table, [str(i) for i in range(k)], name=f"mulZ{k}")
+    """Integers mod k under multiplication (associative, no inverses).
+
+    A semigroup by construction, so the table is not validated."""
+    rows = tuple(array("i", [i * j % k for j in range(k)]) for i in range(k))
+    return FiniteSemigroup(rows, tuple(str(i) for i in range(k)), f"mulZ{k}")
 
 
 # ---------------------------------------------------------------------------
@@ -401,30 +404,44 @@ def _verify_group_task(g: FiniteGroup) -> dict[str, ClaimTally]:
     return tallies
 
 
+def _semigroup_task(k: int) -> dict[str, ClaimTally]:
+    tallies = _new_tallies()
+    checked, violations = sweep_semigroup_shifts(multiplicative_semigroup(k))
+    tallies["C2.1"].checked += checked
+    tallies["C2.1"].violations.extend(violations)
+    return tallies
+
+
+def _run_task(task):
+    fn, arg = task
+    return fn(arg)
+
+
 def run_verification(specs=DEFAULT_CORPUS, *, seed: int = 0,
                      jobs: int = 1) -> VerificationReport:
-    """Run the whole claim battery over a corpus of group specs."""
+    """Run the whole claim battery over a corpus of group specs.
+
+    The engine/oracle cross-checks, each semigroup fixture and each group
+    are one task each; with jobs > 1 they run in a pool, the longest task
+    (the cross-checks) first."""
     start = time.perf_counter()
     specs = tuple(specs)
-    tasks = []
+    groups = []
     for spec in specs:  # surface parse errors before any work
         g = parse_group_spec(spec)
         if g.order > VERIFY_ORDER_CAP:
             raise GroupTooLargeForScan(
                 f"verify enumerates subgroups only up to order {VERIFY_ORDER_CAP}, "
                 f"got {g.name} of order {g.order}")
-        tasks.append(g)
+        groups.append(g)
+    tasks = ([(cross_check_engine_oracle, seed)]
+             + [(_semigroup_task, k) for k in SEMIGROUP_FIXTURE_MODULI]
+             + [(_verify_group_task, g) for g in groups])
+    (cross_count, cross_violations), *parts = map_tasks(
+        _run_task, tasks, worker_count(jobs, len(tasks)))
     tallies = _new_tallies()
-    for part in map_tasks(_verify_group_task, tasks, worker_count(jobs, len(tasks))):
+    for part in parts:
         _merge(tallies, part)
-
-    fixtures = tuple(f"mulZ{k}" for k in SEMIGROUP_FIXTURE_MODULI)
-    for k in SEMIGROUP_FIXTURE_MODULI:
-        checked, violations = sweep_semigroup_shifts(multiplicative_semigroup(k))
-        tallies["C2.1"].checked += checked
-        tallies["C2.1"].violations.extend(violations)
-
-    cross_count, cross_violations = cross_check_engine_oracle(seed)
 
     for tally in tallies.values():
         tally.violations.sort(key=lambda c: json.dumps(c, sort_keys=True))
@@ -436,6 +453,6 @@ def run_verification(specs=DEFAULT_CORPUS, *, seed: int = 0,
         claims=tallies,
         cross_checks=cross_count,
         cross_violations=cross_violations,
-        semigroup_fixtures=fixtures,
+        semigroup_fixtures=tuple(f"mulZ{k}" for k in SEMIGROUP_FIXTURE_MODULI),
         elapsed_seconds=time.perf_counter() - start,
     )

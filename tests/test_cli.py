@@ -150,8 +150,9 @@ class TestVerify:
         _, first, _ = run_cli(capsys, *args, "--jobs", "1")
         _, second, _ = run_cli(capsys, *args, "--jobs", "1")
         assert first == second
-        _, pooled, _ = run_cli(capsys, *args, "--jobs", "2")
-        assert pooled == first
+        for jobs in ("2", "3"):
+            _, pooled, _ = run_cli(capsys, *args, "--jobs", jobs)
+            assert pooled == first, jobs
 
     def test_jobs_below_one_is_usage_error(self, capsys):
         for jobs in ("0", "-3"):
@@ -236,8 +237,9 @@ class TestSubprocess:
         assert proc.returncode == 1
 
     def test_row_commands_load_neither_numpy_nor_a_pool(self):
-        # named and perm(...) groups are built without numpy, and a serial
-        # run starts no pool; `group` is the control that does load numpy
+        # named, perm(...) and product groups and the semigroup fixtures are
+        # built without numpy, and a serial run starts no pool; `group` is
+        # the control that does load numpy
         script = """
 import contextlib, io, sys
 import nclosed
@@ -249,7 +251,8 @@ def heavy():
 assert not heavy(), heavy()
 for argv in (["subgroups", "D30"], ["subgroups", "perm(4): (1 2 3), (2 3 4)"],
              ["scan", "Z4"], ["coset", "Z9", "--subgroup", "3", "--rep", "1", "--power", "2"],
-             ["check", "S3", "--subset", "(1 3),(1 2 3)", "--n", "3"]):
+             ["check", "S3", "--subset", "(1 3),(1 2 3)", "--n", "3"],
+             ["subgroups", "Z2xS4"], ["verify", "--corpus", "Z2xZ2;S3"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv + ["--jobs", "1"]) == 0, argv
     assert not heavy(), (argv, heavy())

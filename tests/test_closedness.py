@@ -237,6 +237,47 @@ class TestAnalyzeCoset:
                     if r.commutes:
                         assert r.least_closedness == r.least_exponent + 1 >= 3
 
+    def test_stray_element_in_the_coset_fires_coset_translate(
+            self, small_corpus, monkeypatch):
+        # both translates add the smallest element missing from their
+        # result, so a commuting L = a*H = H*a gains one stray element b
+        # with b*H != a*H; the membership check must name exactly that b
+        from nclosed import closedness
+        from nclosed.subsets import left_cosets, proper_subgroups
+
+        def stray(mask):
+            return mask | (mask + 1)
+
+        real_left = closedness.translate_mask_left
+        real_right = closedness.translate_mask_right
+        fired = 0
+        for g in small_corpus:
+            for h in proper_subgroups(g):
+                hset = set(h.carrier.indices())
+                for a in left_cosets(h).representatives:
+                    if a in h:
+                        continue
+                    left = {g.mul(a, x) for x in hset}
+                    if left != {g.mul(x, a) for x in hset}:
+                        continue
+                    monkeypatch.setattr(closedness, "translate_mask_left",
+                                        lambda s, x, m: stray(real_left(s, x, m)))
+                    monkeypatch.setattr(closedness, "translate_mask_right",
+                                        lambda s, m, x: stray(real_right(s, m, x)))
+                    report = analyze_coset(Element(g, a), h)
+                    monkeypatch.undo()
+                    certs = [c for c in report.violations
+                             if c["claim"] == "coset-translate"]
+                    b = min(set(range(g.order)) - left)
+                    assert [c["witness"] for c in certs] == [g.labels[b]]
+                    # replayed with plain sets: b is in the mutated coset,
+                    # yet it translates H away from a*H on some side
+                    assert b in report.coset
+                    assert ({g.mul(b, x) for x in hset} != left
+                            or {g.mul(x, b) for x in hset} != left)
+                    fired += 1
+        assert fired > 0
+
     def test_coset_checks_read_the_report(self, z9, monkeypatch):
         from nclosed import closedness
         from nclosed.verify import cor22_coset_checks

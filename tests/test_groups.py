@@ -289,6 +289,27 @@ class TestDirectProduct:
         with pytest.raises(GroupTooLarge):
             direct_product(make_named("cyclic", 100), make_named("cyclic", 100))
 
+    @pytest.mark.parametrize("left,right", [
+        ("Z1", "S3"), ("S3", "Z1"), ("Z2", "S4"), ("Q8", "Z3"), ("D4", "Z2"),
+        ("Z4", "Z6")])
+    def test_rows_match_a_triple_loop(self, left, right):
+        from nclosed.parsing import parse_group_spec
+        g1, g2 = parse_group_spec(left), parse_group_spec(right)
+        g = direct_product(g1, g2)
+        n1, n2 = g1.order, g2.order
+        reference = [[g1.mul(a1, a2) * n2 + g2.mul(b1, b2)
+                      for a2 in range(n1) for b2 in range(n2)]
+                     for a1 in range(n1) for b1 in range(n2)]
+        assert g.table_lists() == reference
+        assert g.name == f"{left}x{right}"
+        assert g.labels == tuple(f"({x},{y})" for x in g1.labels for y in g2.labels)
+        # the identity and inverses given by formula are the ones a full
+        # validation of the same table finds
+        checked = validate_cayley_table(g.table_lists())
+        assert checked.identity == g.identity
+        assert [checked.inv(x) for x in range(g.order)] == [
+            g.inv(x) for x in range(g.order)]
+
 
 class TestVectorisedFacts:
     """is_abelian and structure_orders against plain loops over the table."""

@@ -207,11 +207,16 @@ class TestMutationDetection:
 
     def test_engine_fault_in_semigroup_sweep_exits_2(self, monkeypatch, capsys):
         real = closedness.is_n_closed
-        monkeypatch.setattr(closedness, "is_n_closed", lambda d, n: not real(d, n))
-        code = main(["verify", "--corpus", "S3", "--jobs", "1", "--format", "json"])
-        payload = json.loads(capsys.readouterr().out)
-        monkeypatch.undo()
-        assert code == 2
+        payloads = []
+        # at --jobs 2 the sweep runs in a forked worker, which inherits the fault
+        for jobs in ("1", "2"):
+            monkeypatch.setattr(closedness, "is_n_closed", lambda d, n: not real(d, n))
+            code = main(["verify", "--corpus", "S3", "--jobs", jobs, "--format", "json"])
+            payloads.append(json.loads(capsys.readouterr().out))
+            monkeypatch.undo()
+            assert code == 2, jobs
+        payload = payloads[0]
+        assert payloads[1] == payload
         schema = Path(__file__).resolve().parents[1] / "docs" / "schemas" / "verify.schema.json"
         jsonschema.validate(payload, json.loads(schema.read_text()))
         certs = payload["claims"]["C2.1"]["violations"]
@@ -293,7 +298,8 @@ class TestPool:
         specs = ("Z2", "Z3", "S3")
         capped = run_verification(specs, jobs=100_000)
         run_verification(specs + ("Z4", "Z5", "Z6"), jobs=100_000)
-        assert serial_pool.sizes == [3, 3, 4, 6]  # (workers, tasks) per run
+        # (workers, tasks) per run: the groups, 7 fixtures, 1 cross-check
+        assert serial_pool.sizes == [4, 11, 4, 14]
         assert capped.to_json_dict() == run_verification(specs, jobs=1).to_json_dict()
 
     def test_jobs_below_one_rejected(self):
@@ -304,11 +310,23 @@ class TestPool:
 
 class TestFixtures:
     def test_multiplicative_semigroup_is_associative(self):
-        s = multiplicative_semigroup(10)
-        for a in range(10):
-            for b in range(10):
-                for c in range(10):
-                    assert s.mul(s.mul(a, b), c) == s.mul(a, s.mul(b, c))
+        # the fixtures are built without validation, so check them here
+        for k in range(1, 11):
+            s = multiplicative_semigroup(k)
+            for a in range(k):
+                for b in range(k):
+                    for c in range(k):
+                        assert s.mul(s.mul(a, b), c) == s.mul(a, s.mul(b, c)), k
+
+    def test_multiplicative_semigroup_matches_validation(self):
+        from nclosed.groups import validate_semigroup_table
+        for k in range(1, 11):
+            s = multiplicative_semigroup(k)
+            table = [[i * j % k for j in range(k)] for i in range(k)]
+            checked = validate_semigroup_table(table, [str(i) for i in range(k)])
+            assert s.table_lists() == checked.table_lists() == table, k
+            assert s.labels == checked.labels
+            assert s.name == f"mulZ{k}"
 
     def test_default_corpus_parses_and_respects_cap(self):
         for spec in DEFAULT_CORPUS:
