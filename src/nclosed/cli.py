@@ -15,7 +15,7 @@ from math import lcm
 
 from . import closedness
 from .errors import NClosedError, TheoremViolation, UsageError
-from .groups import Element
+from .groups import Element, structure_orders
 from .parsing import parse_group_spec, parse_subset_spec
 from .scan import run_scan
 from .subsets import (
@@ -53,18 +53,14 @@ def _single_element(g, text: str) -> Element:
 
 
 def cmd_group(args) -> int:
-    from . import _tables
     g = parse_group_spec(args.group)
-    # one numpy copy of the table serves both facts
-    t = _tables.table_array(g)
-    orders = _tables.element_orders(t, g.identity)
-    abelian = _tables.is_abelian(t)
+    orders = structure_orders(g)
     payload = {
         "schema": "nclosed.group/1",
         "spec": args.group,
         "name": g.name,
         "order": g.order,
-        "abelian": abelian,
+        "abelian": g.is_abelian(),
         "exponent": lcm(*orders.keys()),
         "identity": g.labels[g.identity],
         "element_orders": {str(k): v for k, v in sorted(orders.items())},

@@ -9,11 +9,11 @@ factor first": (x*y) acts as x after y. Named constructors put the
 identity at index 0.
 
 Each row is an array("i"). The named families and direct products are
-built row by row in pure Python, with their inverses given by formula, so
-they load no numpy. Whole-table work (validating a table, the
-commutativity and element-order passes) runs on numpy in the private
-module _tables, which the functions doing that work import when they are
-called.
+built row by row, with their inverses given by formula. Table validation
+works on the rows of a table as tuples that share one int object per
+element, so that whole rows are gathered and compared in C; the
+commutativity and element-order facts walk a greedy generating set and
+one power sequence per cyclic subgroup.
 """
 
 from __future__ import annotations
@@ -23,13 +23,19 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, combinations, permutations
+from math import gcd
 from operator import itemgetter
 from pathlib import Path
 
 from .errors import (
+    DuplicateLabel,
     GroupTooLarge,
     MixedStructures,
+    NoIdentity,
+    NoInverse,
+    NotAssociative,
+    NotClosed,
     TableFileError,
     UnsupportedParameter,
 )
@@ -115,8 +121,9 @@ class FiniteGroup(FiniteSemigroup):
         return self._perm_index.get(perm) if self._perm_index else None
 
     def is_abelian(self) -> bool:
-        from . import _tables
-        return _tables.is_abelian(_tables.table_array(self))
+        """A group is abelian iff a generating set commutes pairwise."""
+        gens = list(_greedy_generators(self._rows))
+        return all(self.mul(a, b) == self.mul(b, a) for a, b in combinations(gens, 2))
 
 
 def same_structure(*objs) -> None:
@@ -180,30 +187,175 @@ def element_order(x: Element) -> int:
 # factories
 
 
+def _checked_rows(table, labels):
+    """The rows of a square, integer, closed table as tuples that share one
+    int object per element, and its labels; raises ValueError,
+    GroupTooLarge, DuplicateLabel or NotClosed, checked in that order."""
+    n = len(table)
+    if n == 0:
+        raise ValueError("table must have side >= 1")
+    if n > MAX_ORDER:
+        raise GroupTooLarge(f"order {n} exceeds the cap of {MAX_ORDER}")
+    try:
+        square = all(len(row) == n for row in table)
+        # a float or bool would pass the range check below; map and set walk
+        # the entries in C, so this costs no Python loop
+        kinds = set(map(type, chain.from_iterable(table))) if square else ()
+        for kind in kinds:
+            if kind is bool or not issubclass(kind, int):
+                raise TypeError(f"got {kind.__name__}")
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"table entries must be integers: {exc}") from None
+    if not square:
+        raise ValueError("table must be square")
+    labels = _check_labels(labels, n)
+    for i, row in enumerate(table):
+        if min(row) < 0 or max(row) >= n:
+            j = next(j for j, v in enumerate(row) if not 0 <= v < n)
+            raise NotClosed(i, j, row[j])
+    if n == 1:  # itemgetter of a single index returns the item, not a tuple
+        return [(0,)], labels
+    # equal entries then compare by identity, which halves the cost of
+    # comparing two rows
+    ints = tuple(range(n))
+    return [itemgetter(*row)(ints) for row in table], labels
+
+
+def _check_labels(labels, n) -> tuple[str, ...]:
+    if labels is None:
+        return tuple(str(i) for i in range(n))
+    labels = tuple(str(s) for s in labels)
+    if len(labels) != n:
+        raise ValueError(f"got {len(labels)} labels for order {n}")
+    seen = set()
+    for s in labels:
+        if s in seen:
+            raise DuplicateLabel(s)
+        seen.add(s)
+    return labels
+
+
+def _greedy_generators(rows):
+    """Yield a generating set of the table, smallest index first: each
+    generator is the smallest element not yet reached, and after it is
+    yielded the reached set grows by right multiplication with every
+    generator so far. On a group table the reached set is the subgroup the
+    generators so far generate."""
+    reached = bytearray(len(rows))
+    members: list[int] = []
+    gens: list[int] = []
+    a = 0
+    while (a := reached.find(0, a)) >= 0:
+        yield a
+        gens.append(a)
+        # the old reached set times a, then each new element times every
+        # generator, until nothing new is reached
+        frontier = [a] + [rows[x][a] for x in members]
+        while frontier:
+            new = []
+            for y in frontier:
+                if not reached[y]:
+                    reached[y] = 1
+                    new.append(y)
+            members += new
+            frontier = [rows[y][g] for y in new for g in gens]
+
+
+def _middle_witness(rows, a):
+    """The first triple (x, a, y) in row order with (x*a)*y != x*(a*y), or
+    None: row x*a against row x gathered through row a."""
+    gather = itemgetter(*rows[a])
+    for x, row in enumerate(rows):
+        left, right = rows[row[a]], gather(row)
+        if left != right:
+            return x, a, next(y for y, (u, v) in enumerate(zip(left, right)) if u != v)
+    return None
+
+
+def _light_witness(rows, group_check=None):
+    """Light's associativity test (Clifford & Preston I, 1961, section 1.2).
+
+    The elements a with (x*a)*y == x*(a*y) for all x, y are closed under
+    the product, so it suffices to check the greedy generating set of
+    _greedy_generators. Returns the triple (x, a, y) for the first
+    generator a that fails, or None when the table is associative. Costs
+    O(order^2) per generator.
+
+    In a table with a two-sided identity and inverses, associative or not,
+    the set reached by generators that passed is a group (its only
+    idempotent is the identity), so each one that passes at least doubles
+    it and at most ceil(log2 order) + 1 are tried. group_check, if given,
+    runs before one more generator is tried; it must raise when the table
+    has no identity or inverses. If it returns, the test goes on to the
+    end, so the verdict never rests on that bound alone.
+    """
+    if len(rows) == 1:
+        return None  # [[0]] is the only closed table of order 1
+    bound = (len(rows) - 1).bit_length() + 1
+    for tried, a in enumerate(_greedy_generators(rows)):
+        if tried == bound and group_check is not None:
+            group_check(rows)
+        witness = _middle_witness(rows, a)
+        if witness:
+            return witness
+    return None
+
+
+def _identity_and_inverses(rows) -> tuple[int, array]:
+    """The first two-sided identity of a table and each element's first
+    two-sided inverse; raises NoIdentity, then NoInverse with the first
+    element that has none."""
+    ints = tuple(range(len(rows)))
+    identity = next((e for e, row in enumerate(rows)
+                     if row == ints and tuple(map(itemgetter(e), rows)) == ints), None)
+    if identity is None:
+        raise NoIdentity()
+    inverses = array("i", ints)
+    for x, row in enumerate(rows):
+        try:
+            y = row.index(identity)
+            while rows[y][x] != identity:
+                y = row.index(identity, y + 1)
+        except ValueError:
+            raise NoInverse(x) from None
+        inverses[x] = y
+    return identity, inverses
+
+
 def validate_semigroup_table(table, labels=None, name="semigroup") -> FiniteSemigroup:
     """Check closure and associativity exactly; return the semigroup.
 
     Associativity is decided by Light's test on a greedy generating set
-    (see _tables._light_witness); raises NotClosed, NotAssociative (with a
-    witness triple) or DuplicateLabel.
+    (see _light_witness), which may need up to order generators here;
+    raises NotClosed, NotAssociative (with a witness triple) or
+    DuplicateLabel.
     """
-    from . import _tables
-    t, labels = _tables.validated_array(table, labels, MAX_ORDER)
-    return FiniteSemigroup(_tables.rows_of(t), labels, name)
+    rows, labels = _checked_rows(table, labels)
+    witness = _light_witness(rows)
+    if witness:
+        raise NotAssociative(witness)
+    return FiniteSemigroup(tuple(array("i", row) for row in rows), labels, name)
 
 
 def validate_cayley_table(table, labels=None, name="group") -> FiniteGroup:
     """Check all group axioms exactly and locate the identity and inverses.
 
-    Associativity is decided by Light's test, which on a group table costs
-    O(order^2 log order). Raises NotClosed, NotAssociative (with witness
-    triple), NoIdentity, NoInverse (with witness element), or
-    DuplicateLabel, checked in that order.
+    Raises NotClosed, NotAssociative (with witness triple), NoIdentity,
+    NoInverse (with witness element), or DuplicateLabel, checked in that
+    order, except that Light's test tries at most ceil(log2 order) + 1
+    generators before the identity and inverses are checked: a group never
+    needs more. So NotAssociative is reported when a failing triple is
+    found within that bound, and a table that needs more generators gets
+    NoIdentity or NoInverse, even if it is also not associative. Every
+    table is checked in O(order^2 log order).
     """
-    from . import _tables
-    t, labels = _tables.validated_array(table, labels, MAX_ORDER)
-    identity, inverses = _tables.identity_and_inverses(t)
-    return FiniteGroup(_tables.rows_of(t), labels, identity, inverses, name)
+    rows, labels = _checked_rows(table, labels)
+    witness = _light_witness(rows, group_check=_identity_and_inverses)
+    if witness:
+        raise NotAssociative(witness)
+    identity, inverses = _identity_and_inverses(rows)
+    return FiniteGroup(tuple(array("i", row) for row in rows), labels,
+                       identity, inverses, name)
 
 
 def _cycle_label(perm: tuple[int, ...]) -> str:
@@ -361,18 +513,33 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     # sum of row a1 of g1, each entry repeated n2 times and scaled by n2,
     # and row b1 of g2 repeated n1 times. Read as Python ints from their
     # native-endian bytes, the parts scale and add with no carry between
-    # fields, as every entry is below the order. The part of g2 is rebuilt
-    # per row, so that only one row's worth of it is held at a time.
+    # fields, as every entry is below the order. Each part is converted
+    # once: the smaller factor's parts (at most sqrt(MAX_ORDER) of them)
+    # are kept, and the larger factor's are made one at a time.
     end, width = sys.byteorder, array("i").itemsize * order
-    rows = []
-    for a1 in range(n1):
+
+    def high(a1):
         spread = array("i", bytes(width))
         for b2 in range(n2):
             spread[b2::n2] = g1.row(a1)
-        high = int.from_bytes(spread, end) * n2
+        return int.from_bytes(spread, end) * n2
+
+    def low(b1):
+        return int.from_bytes(g2.row(b1) * n1, end)
+
+    rows = [None] * order
+    if n1 <= n2:
+        highs = [high(a1) for a1 in range(n1)]
         for b1 in range(n2):
-            low = int.from_bytes(g2.row(b1) * n1, end)
-            rows.append(array("i", (high + low).to_bytes(width, end)))
+            lo = low(b1)
+            for a1, hi in enumerate(highs):
+                rows[a1 * n2 + b1] = array("i", (hi + lo).to_bytes(width, end))
+    else:
+        lows = [low(b1) for b1 in range(n2)]
+        for a1 in range(n1):
+            hi = high(a1)
+            for b1, lo in enumerate(lows):
+                rows[a1 * n2 + b1] = array("i", (hi + lo).to_bytes(width, end))
     labels = tuple(f"({la},{lb})" for la in g1.labels for lb in g2.labels)
     inverses = array("i", [g1.inv(a) * n2 + g2.inv(b)
                            for a in range(n1) for b in range(n2)])
@@ -407,6 +574,23 @@ def dump_cayley_table(struct: FiniteSemigroup, path) -> None:
 
 
 def structure_orders(group: FiniteGroup) -> dict[int, int]:
-    """Histogram of element orders, an order-multiset isomorphism heuristic."""
-    from . import _tables
-    return _tables.element_orders(_tables.table_array(group), group.identity)
+    """Histogram of element orders, an order-multiset isomorphism heuristic.
+
+    One power walk per cyclic subgroup: if x has order m, x^k has order
+    m / gcd(k, m), so the walk of x settles every power of x."""
+    rows, identity = group._rows, group.identity
+    seen = bytearray(group.order)
+    hist: dict[int, int] = {}
+    for x in range(group.order):
+        if seen[x]:
+            continue
+        powers = [x]
+        while powers[-1] != identity:
+            powers.append(rows[powers[-1]][x])
+        m = len(powers)
+        for k, p in enumerate(powers, 1):
+            if not seen[p]:
+                seen[p] = 1
+                order = m // gcd(k, m)
+                hist[order] = hist.get(order, 0) + 1
+    return dict(sorted(hist.items()))

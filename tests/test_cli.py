@@ -193,7 +193,7 @@ class TestDescribe:
         assert json.loads(out)["order"] == 8
 
     @pytest.mark.parametrize("table", [
-        [[0, 1.0], [1, 0.9]],  # numpy would truncate 0.9 to 0
+        [[0, 1.0], [1, 0.9]],  # 1.0 would pass the range check
         [["0", "1"], ["1", "0"]],
         [[False, True], [True, False]],
         [[0, True], [True, 0]],
@@ -236,10 +236,11 @@ class TestSubprocess:
             capture_output=True, env=self.env())
         assert proc.returncode == 1
 
-    def test_row_commands_load_neither_numpy_nor_a_pool(self):
-        # named, perm(...) and product groups and the semigroup fixtures are
-        # built without numpy, and a serial run starts no pool; `group` is
-        # the control that does load numpy
+    def test_row_commands_load_neither_numpy_nor_a_pool(self, tmp_path, s3):
+        # no command loads numpy, and a serial run starts no pool; a
+        # parallel verify is the control that shows the check can fail
+        table = tmp_path / "s3.json"
+        dump_cayley_table(s3, table)
         script = """
 import contextlib, io, sys
 import nclosed
@@ -252,14 +253,15 @@ assert not heavy(), heavy()
 for argv in (["subgroups", "D30"], ["subgroups", "perm(4): (1 2 3), (2 3 4)"],
              ["scan", "Z4"], ["coset", "Z9", "--subgroup", "3", "--rep", "1", "--power", "2"],
              ["check", "S3", "--subset", "(1 3),(1 2 3)", "--n", "3"],
-             ["subgroups", "Z2xS4"], ["verify", "--corpus", "Z2xZ2;S3"]):
+             ["subgroups", "Z2xS4"], ["verify", "--corpus", "Z2xZ2;S3"],
+             ["group", "Z4"], ["group", "S6"], ["group", "table:" + sys.argv[1]]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv + ["--jobs", "1"]) == 0, argv
     assert not heavy(), (argv, heavy())
 with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["group", "Z4", "--jobs", "1"]) == 0
-assert "numpy" in sys.modules
+    assert main(["verify", "--corpus", "Z2xZ2", "--jobs", "2"]) == 0
+assert heavy() == ["concurrent.futures"], heavy()
 """
-        proc = subprocess.run([sys.executable, "-c", script], env=self.env(),
+        proc = subprocess.run([sys.executable, "-c", script, str(table)], env=self.env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr

@@ -47,6 +47,23 @@ def brute_force_associative(table):
                for x in rng for y in rng for z in rng)
 
 
+def two_sided_identities(table):
+    rng = range(len(table))
+    return [e for e in rng if all(table[e][x] == table[x][e] == x for x in rng)]
+
+
+def has_two_sided_inverse(table, e, x):
+    return any(table[x][y] == table[y][x] == e for y in range(len(table)))
+
+
+def brute_force_group(table):
+    """Oracle: associativity, a two-sided identity and two-sided inverses,
+    each by exhaustive search."""
+    ids = two_sided_identities(table)
+    return (brute_force_associative(table) and bool(ids)
+            and all(has_two_sided_inverse(table, ids[0], x) for x in range(len(table))))
+
+
 @st.composite
 def small_magmas(draw):
     """Tables of order 1..6: random ones, and group or mulZk tables that are
@@ -145,6 +162,59 @@ class TestValidation:
             assert table[table[x][y]][z] != table[x][table[y][z]]
         else:
             assert brute_force_associative(table)
+
+    @settings(max_examples=400, deadline=None)
+    @given(table=small_magmas())
+    def test_group_validation_agrees_with_brute_force(self, table):
+        # every error must be true of the table, whichever check found it
+        try:
+            g = validate_cayley_table(table)
+        except NotAssociative as exc:
+            x, y, z = exc.witness
+            assert table[table[x][y]][z] != table[x][table[y][z]]
+        except NoIdentity:
+            assert not two_sided_identities(table)
+        except NoInverse as exc:
+            ids = two_sided_identities(table)
+            assert ids and not has_two_sided_inverse(table, ids[0], exc.element)
+        else:
+            assert brute_force_group(table)
+            assert g.table_lists() == table
+            assert g.identity == two_sided_identities(table)[0]
+            return
+        assert not brute_force_group(table)
+
+    @pytest.mark.parametrize("kind", ["zero", "left-zero"])
+    def test_light_test_is_bounded_on_tables_that_are_not_groups(self, kind, monkeypatch):
+        # associative tables without identity: each generator reaches only
+        # itself, so the unbounded test would try all 512 of them
+        from nclosed import groups
+        n = 512
+        table = [[0] * n for _ in range(n)] if kind == "zero" else \
+            [[x] * n for x in range(n)]
+        tried = []
+        real = groups._middle_witness
+        monkeypatch.setattr(groups, "_middle_witness",
+                            lambda rows, a: tried.append(a) or real(rows, a))
+        with pytest.raises(NoIdentity):
+            validate_cayley_table(table)
+        assert len(tried) <= (n - 1).bit_length() + 1 == 10
+
+    def test_failure_past_the_bound_reports_the_missing_identity(self):
+        # a zero table of order 64 with 62*63 = 63: (62*62)*63 = 0 while
+        # 62*(62*63) = 63, but generator 62 comes after the bound of 7
+        from nclosed import groups
+        n = 64
+        table = [[0] * n for _ in range(n)]
+        table[62][63] = 63
+        with pytest.raises(NoIdentity):
+            validate_cayley_table(table)
+        with pytest.raises(NotAssociative) as exc:
+            validate_semigroup_table(table)
+        assert exc.value.witness == (62, 62, 63)
+        # when the identity check passes, the test goes on to the end
+        rows = [tuple(row) for row in table]
+        assert groups._light_witness(rows, group_check=lambda rows: None) == (62, 62, 63)
 
     def test_named_tables_pass_validation(self, small_corpus):
         # named families and products skip validation; it must agree
@@ -341,14 +411,34 @@ class TestVectorisedFacts:
         assert g.identity == 3
         assert (g.is_abelian(), structure_orders(g)) == self.reference(g)
 
-    def test_abelian_check_reaches_every_row_block(self):
-        # at order 600 the comparison runs in blocks of 436 rows, so the one
-        # unequal pair (x*y, y*x) sits in the second block
-        from nclosed import _tables
-        t = _tables.table_array(make_named("cyclic", 600)).copy()
-        assert _tables.is_abelian(t)
-        t[599, 1], t[1, 599] = 5, 7
-        assert not _tables.is_abelian(t)
+    def test_generators_that_fail_to_commute_come_last(self, tmp_path):
+        # is_abelian checks a greedy generating set: indices 0, 1, 600 and
+        # 1200 in S3xZ600, and r0, r1 and s0 in D300, so every pair that
+        # fails to commute ends with the last generator. Z600xS3 is the
+        # mirror case, with generators 0, 1, 2 and 6. The S4 table is
+        # relabelled to start e, (1 2), (3 4), (1 2)(3 4), (1 2 3): its
+        # generators are 0, 1, 2 and 4, and only 4 fails to commute.
+        from nclosed.parsing import parse_group_spec
+        s4 = make_named("symmetric", 4)
+        first = [s4.index_of_label(c) for c in
+                 ("e", "(1 2)", "(3 4)", "(1 2)(3 4)", "(1 2 3)")]
+        old = first + [x for x in range(24) if x not in first]
+        new = {x: i for i, x in enumerate(old)}
+        path = tmp_path / "s4.json"
+        path.write_text(json.dumps({
+            "labels": [s4.labels[x] for x in old],
+            "table": [[new[s4.mul(x, y)] for y in old] for x in old]}))
+        for spec in ("Z600xS3", "S3xZ600", "D300", f"table:{path}"):
+            g = parse_group_spec(spec)
+            t = [g.row(x) for x in range(g.order)]
+            n = g.order
+            abelian = all(t[i][j] == t[j][i] for i in range(n) for j in range(n))
+            hist = {}
+            for x in range(n):
+                k = g.order_of(x)
+                hist[k] = hist.get(k, 0) + 1
+            assert (g.is_abelian(), structure_orders(g)) == (abelian, hist), spec
+            assert not abelian
 
 
 class TestElementArithmetic:
