@@ -14,7 +14,7 @@ import sys
 from math import lcm
 
 from . import closedness
-from .errors import NClosedError, TheoremViolation, UsageError
+from .errors import NClosedError, UsageError
 from .groups import Element, structure_orders
 from .parsing import parse_group_spec, parse_subset_spec
 from .scan import run_scan
@@ -135,16 +135,19 @@ def cmd_coset(args) -> int:
     h = generated_subgroup(parse_subset_spec(args.subgroup, g).elements())
     a = _single_element(g, args.rep)
     report = closedness.analyze_coset(a, h)
+    violations = list(report.violations)
 
     spectrum = None
     if report.commutes:
         desc = closedness.closedness_spectrum(report, verify_up_to=args.max_n)
         spectrum = {"step": desc.step, "offset": desc.offset,
                     "verified_up_to": desc.verified_up_to}
+        violations.extend(desc.violations)
     power = None
     if args.power is not None:
-        pc, k2 = closedness.power_coset_closedness(report, args.power)
+        pc, k2, power_violations = closedness.power_coset_closedness(report, args.power)
         power = {"m": args.power, "coset": pc.labels(), "closedness": k2}
+        violations.extend(power_violations)
 
     payload = {
         "schema": "nclosed.coset/1",
@@ -157,7 +160,7 @@ def cmd_coset(args) -> int:
         "least_closedness": report.least_closedness,
         "spectrum": spectrum,
         "power": power,
-        "violations": list(report.violations),
+        "violations": violations,
     }
     if args.format == "json":
         _dump(payload)
@@ -179,7 +182,9 @@ def cmd_coset(args) -> int:
             print(f"power coset {a.label}^{args.power}*H = "
                   f"{_subset_str(power['coset'])}: "
                   f"least closedness {power['closedness']}")
-    return 2 if report.violations else 0
+        if violations:
+            print(f"VIOLATIONS: {len(violations)} (certificates with --format json)")
+    return 2 if violations else 0
 
 
 def cmd_scan(args) -> int:
@@ -284,11 +289,6 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
-    except TheoremViolation as exc:
-        print(f"theorem violation: {exc}", file=sys.stderr)
-        print(json.dumps(exc.certificate, indent=2, sort_keys=True),
-              file=sys.stderr)
-        return 2
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -9,18 +9,17 @@ the verification harness. The powers are ultimately periodic, so one pass
 that stops at the first repeat decides every n at once (closedness_profile).
 
 Internal identities that should hold by theorem are re-verified as the
-operations run. Violations are recorded on the returned report (for
-analyze_coset and extract_subgroup) or raised as TheoremViolation with a
-replayable certificate (for the formula-backed operations); with a correct
-engine none ever fires, and the harness treats any that does as a failure.
+operations run. Every failed check is recorded as a replayable certificate
+in the violations tuple of what the operation returns, and none is raised;
+with a correct engine none ever fires, and callers treat any that does as a
+failure.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
-from typing import Iterator
 
 from .errors import (
     AlreadyClosed,
@@ -30,7 +29,6 @@ from .errors import (
     NotNClosed,
     NotProperSubgroup,
     RepInSubgroup,
-    TheoremViolation,
 )
 from .groups import Element, FiniteGroup, FiniteSemigroup, same_structure
 from .subsets import (
@@ -67,23 +65,6 @@ def _require_nonempty(d: GSubset) -> None:
         raise EmptySubset("closedness is undefined for the empty subset")
 
 
-def _powers(d: GSubset) -> Iterator[int]:
-    """Masks of D^2, D^3, ... without end; each x*D is translated once."""
-    struct = d.owner
-    dmask = d.mask
-    trans: list[int | None] = [None] * struct.order
-    p = dmask
-    while True:
-        acc = 0
-        for x in iter_bits(p):
-            tm = trans[x]
-            if tm is None:
-                tm = trans[x] = translate_mask_left(struct, x, dmask)
-            acc |= tm
-        p = acc
-        yield p
-
-
 @dataclass(frozen=True)
 class ClosednessProfile:
     """Every n >= 2 for which D is n-closed: closed lists those below
@@ -107,16 +88,27 @@ class ClosednessProfile:
 
 
 def closedness_profile(d: GSubset) -> ClosednessProfile:
-    """Iterate the powers of D until one repeats; in a group, stop as soon
-    as |D^n| > |D|, since |D^n| never decreases (right translation by any
-    d in D is injective) and so no later power fits inside D."""
+    """Iterate the powers D^2, D^3, ... of D until one repeats, translating
+    each x*D once; in a group, stop as soon as |D^n| > |D|, since |D^n|
+    never decreases (right translation by any d in D is injective) and so
+    no later power fits inside D."""
     _require_nonempty(d)
+    struct = d.owner
     dmask = d.mask
     # a semigroup's powers may shrink again, so there only a repeat ends it
-    limit = d.size if isinstance(d.owner, FiniteGroup) else d.owner.order
+    limit = d.size if isinstance(struct, FiniteGroup) else struct.order
+    trans: list[int | None] = [None] * struct.order
     seen: dict[int, int] = {}
     closed = []
-    for n, p in enumerate(_powers(d), start=2):
+    p = dmask
+    for n in itertools.count(2):
+        acc = 0
+        for x in iter_bits(p):
+            tm = trans[x]
+            if tm is None:
+                tm = trans[x] = translate_mask_left(struct, x, dmask)
+            acc |= tm
+        p = acc
         first = seen.setdefault(p, n)
         if first < n:
             return ClosednessProfile(first, n - first, tuple(closed))
@@ -186,16 +178,12 @@ def is_n_closed_oracle(d: GSubset, n: int, budget: int = ORACLE_BUDGET) -> bool:
 
 def least_closed_scan(d: GSubset, n_max: int | None = None) -> int | None:
     """Least n in [2, n_max] with D n-closed, else None (absent up to bound)."""
-    _require_nonempty(d)
+    least = closedness_profile(d).least
     if n_max is None:
         n_max = 2 * d.owner.order + 1
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    dmask = d.mask
-    for n, p in zip(range(2, n_max + 1), _powers(d)):
-        if p & ~dmask == 0:
-            return n
-    return None
+    return least if least is not None and least <= n_max else None
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +229,7 @@ class CosetReport:
 def _prefix_products(struct: FiniteSemigroup, mask: int, k: int) -> list[int]:
     """D^k for k >= 1, sorted: the product of every length-k tuple from D.
 
-    Built with Python sets from the rows, not through _powers, so the
+    Built with Python sets from the rows, not by the engine, so the
     checks that read it stay independent of the engine they check. Each
     prefix check depends on a tuple only through its product, so checking
     every p in D^k once covers every tuple exactly."""
@@ -328,32 +316,36 @@ class SpectrumDescription:
     step: int
     offset: int
     verified_up_to: int
+    violations: tuple[dict, ...] = ()
 
     def contains(self, m: int) -> bool:
         return m >= 2 and (m - self.offset) % self.step == 0
 
 
 def closedness_spectrum(report: CosetReport, verify_up_to: int = 20) -> SpectrumDescription:
-    """Spectrum of a commuting coset, checked against its engine profile."""
+    """Spectrum of a commuting coset, checked against its engine profile
+    for every m up to verify_up_to; each disagreement is a certificate."""
     if verify_up_to < 2:
         raise ValueError(f"verify_up_to must be >= 2, got {verify_up_to}")
     a, h = report.rep, report.subgroup
     if not report.commutes:
         raise NonCommutingCoset(f"{a.label}*H != H*{a.label}")
-    g = h.owner
-    spectrum = SpectrumDescription(step=report.least_exponent, offset=1,
-                                   verified_up_to=verify_up_to)
+    t = report.least_exponent
+    spectrum = SpectrumDescription(step=t, offset=1, verified_up_to=verify_up_to)
+    violations = []
     for m in range(2, verify_up_to + 1):
-        if report.profile.is_closed(m) != spectrum.contains(m):
-            raise TheoremViolation(
-                f"spectrum predicate disagrees with the engine at m={m}",
-                make_certificate(g, "spectrum", subgroup=h.carrier.labels(),
-                                 rep=a.label, n=m, detail="step predicate mismatch"))
-    return spectrum
+        engine = report.profile.is_closed(m)
+        if engine != spectrum.contains(m):
+            violations.append(make_certificate(
+                h.owner, "spectrum", subgroup=h.carrier.labels(), rep=a.label,
+                subset=report.coset.labels(), n=m, least_exponent=t,
+                detail=f"engine {engine} but step predicate {not engine}"))
+    return replace(spectrum, violations=tuple(violations))
 
 
-def least_power_exponent(report: CosetReport, m: int) -> int:
-    """Least c with (a^m)^c in H, by the formula c = t/gcd(m, t).
+def least_power_exponent(report: CosetReport, m: int) -> tuple[int, tuple[dict, ...]]:
+    """Least c with (a^m)^c in H, by the formula c = t/gcd(m, t), with the
+    certificates of every check it failed.
 
     t is the least positive exponent landing a in H. The formula value is
     checked against a direct search, and the divisibility pattern
@@ -372,24 +364,23 @@ def least_power_exponent(report: CosetReport, m: int) -> int:
     while not hmask >> x & 1:
         x = g.mul(x, base)
         direct += 1
+    failed = []  # (n, detail) of each failed check
     if direct != c:
-        raise TheoremViolation(
-            f"gcd formula gives c={c} but direct search found {direct}",
-            make_certificate(g, "power-exponent", subgroup=h.carrier.labels(),
-                             rep=a.label, m=m, n=c, detail=f"direct search: {direct}"))
+        failed.append((c, f"direct search: {direct}"))
     x = g.identity
     for f in range(1, 2 * t + 1):
         x = g.mul(x, base)
         if (hmask >> x & 1 == 1) != (f % c == 0):
-            raise TheoremViolation(
-                f"divisibility pattern fails at f={f}",
-                make_certificate(g, "power-exponent", subgroup=h.carrier.labels(),
-                                 rep=a.label, m=m, n=f, detail="c | f pattern mismatch"))
-    return c
+            failed.append((f, "c | f pattern mismatch"))
+    return c, tuple(
+        make_certificate(g, "power-exponent", subgroup=h.carrier.labels(),
+                         rep=a.label, m=m, n=n, least_exponent=t, detail=detail)
+        for n, detail in failed)
 
 
-def power_coset_closedness(report: CosetReport, m: int) -> tuple[GSubset, int]:
-    """The coset a^m*H with its least closedness (t/gcd(m,t)) + 1.
+def power_coset_closedness(report: CosetReport, m: int) -> tuple[GSubset, int, tuple[dict, ...]]:
+    """The coset a^m*H with its least closedness (t/gcd(m,t)) + 1, and the
+    certificates of every check it failed.
 
     Requires a commuting representative outside H. The engine's least
     closedness of the coset must equal c + 1 (when a^m lies in H, c = 1 and
@@ -406,19 +397,17 @@ def power_coset_closedness(report: CosetReport, m: int) -> tuple[GSubset, int]:
     c = t // gcd(m, t)
     coset = GSubset(g, translate_mask_left(g, g.pow(a.index, m), h.mask))
     profile = closedness_profile(coset)  # a^m*H is another coset, with its own profile
-    cert_base = dict(subgroup=h.carrier.labels(), rep=a.label, m=m)
+    failed = []  # (n, detail) of each failed check
     if profile.least != c + 1:
-        raise TheoremViolation(
-            f"least closedness of a^{m}*H is {profile.least}, formula says {c + 1}",
-            make_certificate(g, "power-coset", subset=coset.labels(), n=c + 1,
-                             detail=f"engine found {profile.least}", **cert_base))
+        failed.append((c + 1, f"engine found {profile.least}"))
     for f in range(2, 3 * c + 2):
         if profile.is_closed(f) != ((f - 1) % c == 0):
-            raise TheoremViolation(
-                f"f-closedness pattern fails at f={f}",
-                make_certificate(g, "power-coset", subset=coset.labels(),
-                                 n=f, detail="f = b*c + 1 pattern mismatch", **cert_base))
-    return coset, c + 1
+            failed.append((f, "f = b*c + 1 pattern mismatch"))
+    return coset, c + 1, tuple(
+        make_certificate(g, "power-coset", subgroup=h.carrier.labels(),
+                         rep=a.label, m=m, subset=coset.labels(), n=n,
+                         least_exponent=t, detail=detail)
+        for n, detail in failed)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +466,7 @@ def extract_subgroup(d: GSubset, n: int) -> SubgroupExtraction:
     return SubgroupExtraction(
         source=d,
         n=n,
-        subgroup=Subgroup(subgroup_subset, certified=not violations),
+        subgroup=Subgroup(subgroup_subset),
         coset_rep=Element(g, b),
         violations=tuple(violations),
     )

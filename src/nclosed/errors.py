@@ -110,14 +110,6 @@ class NotProperSubgroup(NClosedError):
     """Operation requires a proper subgroup."""
 
 
-class TheoremViolation(NClosedError):
-    """An internally verified identity failed; carries a replayable certificate."""
-
-    def __init__(self, message: str, certificate: dict):
-        self.certificate = certificate
-        super().__init__(message)
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 

@@ -81,10 +81,9 @@ class GSubset:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subset that passed is_subgroup; certified records that evidence."""
+    """A subgroup's carrier; from_indices and from_labels check is_subgroup."""
 
     carrier: GSubset
-    certified: bool = True
 
     @classmethod
     def from_indices(cls, owner: FiniteGroup, indices: Iterable[int]) -> "Subgroup":
@@ -227,8 +226,7 @@ def generated_subgroup(gens: Sequence[Element]) -> Subgroup:
         raise TypeError("generated_subgroup requires group elements")
     same_structure(g, *(x.owner for x in gens))
     mask = closure_mask(g, [g.identity] + [x.index for x in gens])
-    carrier = GSubset(g, mask)
-    return Subgroup(carrier, certified=is_subgroup(carrier))
+    return Subgroup(GSubset(g, mask))
 
 
 def left_cosets(h: Subgroup) -> CosetPartition:

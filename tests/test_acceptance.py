@@ -182,6 +182,7 @@ def test_criterion_6_membership_and_spectrum(corpus):
                     if (x in h) != (m % t == 0):
                         mismatches += 1
                 desc = closedness_spectrum(analyze_coset(a, h), verify_up_to=20)
+                mismatches += len(desc.violations)
                 for m in range(2, 21):
                     if is_n_closed(coset, m) != desc.contains(m):
                         mismatches += 1
@@ -219,9 +220,12 @@ def test_criterion_7_gcd_formulas(corpus):
                     while x not in h:
                         x = g.mul(x, base)
                         direct += 1
-                    if least_power_exponent(r, m) != direct:
+                    c, c_violations = least_power_exponent(r, m)
+                    if c != direct or c_violations:
                         mismatches += 1
-                    pc, k2 = power_coset_closedness(r, m)
+                    pc, k2, pc_violations = power_coset_closedness(r, m)
+                    if pc_violations:
+                        mismatches += 1
                     scan = least_closed_scan(pc, max(k2, 3))
                     if base in h:
                         if scan != 2 or k2 != 2:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import json
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import jsonschema
 import pytest
 
 from nclosed.cli import main
-from nclosed.closedness import ClosednessProfile, least_closed_scan, least_exponent
+from nclosed.closedness import ClosednessProfile, least_exponent
 from nclosed.errors import GroupTooLargeForScan
 from nclosed.groups import Element, validate_cayley_table
 from nclosed.parsing import parse_group_spec
@@ -76,13 +77,26 @@ class TestScanClassification:
                 run_scan(z4, jobs=jobs)
 
 
+def least_closed_by_set_powers(g, ids):
+    """Least n >= 2 with D^n inside D, powers built as Python sets, or None
+    once a power repeats: D^(n+1) = D^n * D, so the powers then cycle."""
+    d = frozenset(ids)
+    p, seen = d, set()
+    for n in itertools.count(2):
+        p = frozenset(g.mul(x, y) for x in p for y in d)
+        if p <= d:
+            return n
+        if p in seen:
+            return None
+        seen.add(p)
+
+
 class TestScanExactness:
-    def test_least_closedness_matches_bounded_reference(self, small_corpus):
-        # small_corpus includes Z12; at 2*order+1 the bounded scan is exact
+    def test_least_closedness_matches_set_powers(self, small_corpus):
         for g in small_corpus:
             for e in run_scan(g).entries:
-                d = GSubset(g, e.mask)
-                assert e.least_closedness == least_closed_scan(d, 2 * g.order + 1)
+                ids = GSubset(g, e.mask).indices()
+                assert e.least_closedness == least_closed_by_set_powers(g, ids)
 
 
 def _shifted_up_by_one(real):

@@ -123,13 +123,14 @@ class TestGeneratedSubgroup:
         assert h.carrier.indices() == [0]
 
     def test_minimality_small_orders(self, small_corpus):
-        # nothing strictly between the generators and their closure passes
-        # is_subgroup: scan all proper subsets containing the generators
+        # the closure passes is_subgroup, and nothing strictly between the
+        # generators and it does: scan all proper subsets containing them
         for g in small_corpus:
             if g.order > 12:
                 continue
             for gen in range(1, g.order):
                 h = generated_subgroup([Element(g, gen)])
+                assert is_subgroup(h.carrier)
                 ids = h.carrier.indices()
                 if h.order > 12:
                     continue
@@ -140,6 +141,12 @@ class TestGeneratedSubgroup:
                         if len(subset) == len(ids):
                             continue
                         assert not is_subgroup(GSubset.from_indices(g, subset))
+
+    def test_two_generators_close_to_a_subgroup(self, small_corpus):
+        for g in small_corpus:
+            for x, y in combinations(range(g.order), 2):
+                h = generated_subgroup([Element(g, x), Element(g, y)])
+                assert is_subgroup(h.carrier) and x in h and y in h
 
 
 class TestCosets:

@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 from collections import Counter
+from math import gcd
 from pathlib import Path
 
 import jsonschema
@@ -9,6 +10,7 @@ import pytest
 from nclosed import closedness, util, verify
 from nclosed.cli import main
 from nclosed.errors import GroupTooLargeForScan
+from nclosed.groups import validate_cayley_table
 from nclosed.parsing import parse_group_spec
 from nclosed.subsets import left_cosets, proper_subgroups
 from nclosed.verify import (
@@ -29,6 +31,58 @@ def products(struct, ids, k):
     for _ in range(k - 1):
         out = {struct.mul(p, q) for p in out for q in ids}
     return out
+
+
+SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
+
+
+def is_closed_by_sets(struct, ids, n):
+    return products(struct, ids, n) <= set(ids)
+
+
+def power(g, x, k):
+    """x^k for k >= 1, one table product at a time."""
+    p = x
+    for _ in range(k - 1):
+        p = g.mul(p, x)
+    return p
+
+
+def least_landing(g, x, h):
+    """Least c >= 1 with x^c in h, walking the powers of x."""
+    p, c = x, 1
+    while p not in h:
+        p, c = g.mul(p, x), c + 1
+    return c
+
+
+def replay_formula_certificate(cert):
+    """Rebuild a spectrum, power-exponent or power-coset certificate from
+    its own table and labels; return (formula side, set-power side) of the
+    identity it names, each a bool or an int."""
+    g = validate_cayley_table(cert["table"], cert["labels"])
+    h = {g.index_of_label(x) for x in cert["subgroup"]}
+    a = g.index_of_label(cert["rep"])
+    t, n = cert["least_exponent"], cert["n"]
+    if cert["claim"] == "spectrum":
+        coset = [g.index_of_label(x) for x in cert["subset"]]
+        assert set(coset) == {g.mul(a, x) for x in h}
+        return (n - 1) % t == 0, is_closed_by_sets(g, coset, n)
+    m = cert["m"]
+    c = t // gcd(m, t)
+    base = power(g, a, m)
+    if cert["claim"] == "power-exponent":
+        if cert["detail"].startswith("direct search"):
+            return n, least_landing(g, base, h)
+        return n % c == 0, power(g, base, n) in h
+    assert cert["claim"] == "power-coset"
+    coset = [g.index_of_label(x) for x in cert["subset"]]
+    assert set(coset) == {g.mul(base, x) for x in h}
+    if cert["detail"].startswith("engine found"):
+        # the least closedness, read off the set powers up to n
+        closed = [k for k in range(2, n + 1) if is_closed_by_sets(g, coset, k)]
+        return n, min(closed, default=None)
+    return (n - 1) % c == 0, is_closed_by_sets(g, coset, n)
 
 
 @pytest.fixture(scope="module")
@@ -196,7 +250,6 @@ class TestMutationDetection:
         assert code == 2
         certs = payload["claims"]["C2.2"]["violations"]
         assert certs
-        from nclosed.groups import validate_cayley_table
         from nclosed.subsets import GSubset
         for cert in certs:
             g = validate_cayley_table(cert["table"], cert["labels"])
@@ -217,8 +270,7 @@ class TestMutationDetection:
             assert code == 2, jobs
         payload = payloads[0]
         assert payloads[1] == payload
-        schema = Path(__file__).resolve().parents[1] / "docs" / "schemas" / "verify.schema.json"
-        jsonschema.validate(payload, json.loads(schema.read_text()))
+        jsonschema.validate(payload, json.loads((SCHEMAS / "verify.schema.json").read_text()))
         certs = payload["claims"]["C2.1"]["violations"]
         assert certs
         from nclosed.groups import validate_semigroup_table
@@ -239,7 +291,6 @@ class TestMutationDetection:
         certs = [c for c in payload["claims"]["T2.2.3"]["violations"]
                  if c["claim"] == "coset-prefix"]
         assert certs
-        from nclosed.groups import validate_cayley_table
         for cert in certs:
             g = validate_cayley_table(cert["table"], cert["labels"])
             h = {g.index_of_label(x) for x in cert["subgroup"]}
@@ -251,6 +302,61 @@ class TestMutationDetection:
             assert ({g.mul(p, x) for x in coset} != h
                     or {g.mul(x, p) for x in coset} != h)
             assert not products(g, coset, n) <= set(coset)
+
+    def test_wrong_least_exponent_fires_the_formula_checks(self, monkeypatch, capsys):
+        real = closedness.least_exponent
+        monkeypatch.setattr(closedness, "least_exponent", lambda a, h: real(a, h) + 1)
+        code = main(["verify", "--corpus", "S3", "--jobs", "1", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        monkeypatch.undo()
+        assert code == 2
+        jsonschema.validate(payload, json.loads((SCHEMAS / "verify.schema.json").read_text()))
+        # every check of each formula fires: (claim, start of each check's detail)
+        for cid, kinds in (("T2.2.5", ("engine True", "engine False")),
+                           ("L2.1", ("direct search", "c | f pattern")),
+                           ("T2.3", ("engine found", "f = b*c + 1 pattern"))):
+            certs = payload["claims"][cid]["violations"]
+            for kind in kinds:
+                assert any(c["detail"].startswith(kind) for c in certs), (cid, kind)
+            for cert in certs:
+                g = validate_cayley_table(cert["table"], cert["labels"])
+                h = {g.index_of_label(x) for x in cert["subgroup"]}
+                # each formula read the mutant's t, one more than the real one
+                t = least_landing(g, g.index_of_label(cert["rep"]), h)
+                assert cert["least_exponent"] == t + 1
+                formula, truth = replay_formula_certificate(cert)
+                assert formula != truth, cert["detail"]
+
+    def test_wrong_profile_makes_coset_exit_2_with_certificates_on_stdout(
+            self, monkeypatch, capsys):
+        everywhere = closedness.ClosednessProfile(start=2, period=1, closed=(2,))
+        monkeypatch.setattr(closedness, "closedness_profile", lambda d: everywhere)
+        argv = ["coset", "Z9", "--subgroup", "3", "--rep", "1", "--power", "2"]
+        code = main([*argv, "--format", "json"])
+        out, err = capsys.readouterr()
+        assert main([*argv, "--format", "text"]) == 2
+        text = capsys.readouterr()
+        monkeypatch.undo()
+        assert code == 2
+        assert err == text.err == ""
+        payload = json.loads(out)
+        assert f"VIOLATIONS: {len(payload['violations'])} " in text.out
+        jsonschema.validate(payload, json.loads((SCHEMAS / "coset.schema.json").read_text()))
+        certs = payload["violations"]
+        assert {c["claim"] for c in certs} == {"spectrum", "power-coset"}
+        # every m the step 3 excludes is a certificate of its own, and both
+        # power-coset checks fire
+        assert [c["n"] for c in certs if c["claim"] == "spectrum"] == \
+            [m for m in range(2, 21) if (m - 1) % 3]
+        for kind in ("engine found", "f = b*c + 1 pattern"):
+            assert any(c["detail"].startswith(kind) for c in certs), kind
+        for cert in certs:
+            assert cert["least_exponent"] == 3
+            # the formulas were right and the mutant engine was not
+            formula, truth = replay_formula_certificate(cert)
+            assert formula == truth, cert["detail"]
+            if cert["claim"] == "spectrum":
+                assert cert["detail"] == "engine True but step predicate False"
 
     def test_flipped_shift_set_closedness_fires_c21(self, monkeypatch, capsys):
         real = closedness.semigroup_shift_2closed
@@ -283,7 +389,6 @@ class TestMutationDetection:
         assert cert is not None, "no certificate names a subset and an n"
         # rebuild the group purely from the certificate and re-run the check:
         # the mutant called the subset n-closed, the real engine does not
-        from nclosed.groups import validate_cayley_table
         from nclosed.subsets import GSubset
         g = validate_cayley_table(cert["table"], cert["labels"])
         d = GSubset.from_labels(g, cert["subset"])
