@@ -23,9 +23,9 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, permutations
+from itertools import combinations, permutations
 from math import gcd
-from operator import itemgetter
+from operator import countOf, itemgetter
 from pathlib import Path
 
 from .errors import (
@@ -187,38 +187,117 @@ def element_order(x: Element) -> int:
 # factories
 
 
+class _CheckedRows:
+    """A candidate table taken one row at a time, for _checked_rows.
+
+    Each row is checked as it is added, against the length of the first
+    row, and kept in two forms: a tuple that shares one int object per
+    element, so that validation gathers and compares whole rows in C, and
+    the final array("i"). The first fault of each kind is recorded, not
+    raised, so that finish raises in the documented order whichever rows
+    the faults are in. Once the table is known to fail, no row is kept, and
+    later rows are checked only for the faults that would still win.
+    """
+
+    def __init__(self):
+        self.count = 0
+        self.side = None
+        self.ints = ()
+        self.rows: list[tuple] = []
+        self.arrays: list[array] = []
+        self.not_square = None    # message for the first row not of the first's length
+        self.bad_kind = None      # name of the first entry type that is not int
+        self.out_of_range = None  # (row, column, value) of the first such entry
+
+    def __len__(self):
+        return self.count
+
+    def _drop_rows(self):
+        self.rows.clear()
+        self.arrays.clear()
+
+    def add(self, row) -> None:
+        i = self.count
+        self.count += 1
+        if self.not_square or i >= MAX_ORDER:  # the verdict can no longer change
+            self._drop_rows()
+            return
+        try:
+            k = len(row)
+        except TypeError as exc:
+            self.not_square = f"table entries must be integers: {exc}"
+            self._drop_rows()
+            return
+        if i == 0:
+            self.side = k
+        if k != self.side or not 0 < k <= MAX_ORDER:
+            self.not_square = "table must be square"
+            self._drop_rows()
+            return
+        if not self.ints:
+            self.ints = tuple(range(k))
+        if self.bad_kind:
+            return
+        # a float or bool would pass the range check, so the types go first;
+        # countOf and map walk the entries in C
+        if countOf(map(type, row), int) != k:
+            kind = next((t for t in map(type, row)
+                         if t is bool or not issubclass(t, int)), None)
+            if kind is not None:
+                self.bad_kind = kind.__name__
+                self._drop_rows()
+                return
+        if self.out_of_range:
+            return
+        # the gather raises on an entry >= k; equal entries then compare by
+        # identity, which halves the cost of comparing two rows
+        try:
+            gathered = itemgetter(*row)(self.ints)
+        except IndexError:
+            gathered = None
+        if gathered is None or min(row) < 0:
+            j = next(j for j, v in enumerate(row) if not 0 <= v < k)
+            self.out_of_range = (i, j, row[j])
+            self._drop_rows()
+            return
+        # itemgetter of a single index returns the item, not a tuple
+        self.rows.append(gathered if k > 1 else (gathered,))
+        self.arrays.append(array("i", row))
+
+    def finish(self, labels):
+        n = self.count
+        if n == 0:
+            raise ValueError("table must have side >= 1")
+        if n > MAX_ORDER:
+            raise GroupTooLarge(f"order {n} exceeds the cap of {MAX_ORDER}")
+        # the first row of another length than n: row 0 itself, unless it has n
+        if self.side is not None and self.side != n:
+            raise ValueError("table must be square")
+        if self.not_square:
+            raise ValueError(self.not_square)
+        if self.bad_kind:
+            raise ValueError(f"table entries must be integers: got {self.bad_kind}")
+        labels = _check_labels(labels, n)
+        if self.out_of_range:
+            raise NotClosed(*self.out_of_range)
+        return self.rows, self.arrays, labels
+
+
 def _checked_rows(table, labels):
-    """The rows of a square, integer, closed table as tuples that share one
-    int object per element, and its labels; raises ValueError,
-    GroupTooLarge, DuplicateLabel or NotClosed, checked in that order."""
-    n = len(table)
-    if n == 0:
-        raise ValueError("table must have side >= 1")
-    if n > MAX_ORDER:
-        raise GroupTooLarge(f"order {n} exceeds the cap of {MAX_ORDER}")
-    try:
-        square = all(len(row) == n for row in table)
-        # a float or bool would pass the range check below; map and set walk
-        # the entries in C, so this costs no Python loop
-        kinds = set(map(type, chain.from_iterable(table))) if square else ()
-        for kind in kinds:
-            if kind is bool or not issubclass(kind, int):
-                raise TypeError(f"got {kind.__name__}")
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"table entries must be integers: {exc}") from None
-    if not square:
-        raise ValueError("table must be square")
-    labels = _check_labels(labels, n)
-    for i, row in enumerate(table):
-        if min(row) < 0 or max(row) >= n:
-            j = next(j for j, v in enumerate(row) if not 0 <= v < n)
-            raise NotClosed(i, j, row[j])
-    if n == 1:  # itemgetter of a single index returns the item, not a tuple
-        return [(0,)], labels
-    # equal entries then compare by identity, which halves the cost of
-    # comparing two rows
-    ints = tuple(range(n))
-    return [itemgetter(*row)(ints) for row in table], labels
+    """The rows of a square, integer, closed table, as tuples that share one
+    int object per element and as arrays, and its labels; raises ValueError,
+    GroupTooLarge, DuplicateLabel or NotClosed, checked in that order.
+
+    table is a sized sequence of rows, or a _CheckedRows that a reader has
+    filled row by row."""
+    if not isinstance(table, _CheckedRows):
+        if len(table) > MAX_ORDER:  # before any row is looked at
+            raise GroupTooLarge(f"order {len(table)} exceeds the cap of {MAX_ORDER}")
+        checked = _CheckedRows()
+        for row in table:
+            checked.add(row)
+        table = checked
+    return table.finish(labels)
 
 
 def _check_labels(labels, n) -> tuple[str, ...]:
@@ -330,11 +409,11 @@ def validate_semigroup_table(table, labels=None, name="semigroup") -> FiniteSemi
     raises NotClosed, NotAssociative (with a witness triple) or
     DuplicateLabel.
     """
-    rows, labels = _checked_rows(table, labels)
+    rows, arrays, labels = _checked_rows(table, labels)
     witness = _light_witness(rows)
     if witness:
         raise NotAssociative(witness)
-    return FiniteSemigroup(tuple(array("i", row) for row in rows), labels, name)
+    return FiniteSemigroup(tuple(arrays), labels, name)
 
 
 def validate_cayley_table(table, labels=None, name="group") -> FiniteGroup:
@@ -349,13 +428,12 @@ def validate_cayley_table(table, labels=None, name="group") -> FiniteGroup:
     NoIdentity or NoInverse, even if it is also not associative. Every
     table is checked in O(order^2 log order).
     """
-    rows, labels = _checked_rows(table, labels)
+    rows, arrays, labels = _checked_rows(table, labels)
     witness = _light_witness(rows, group_check=_identity_and_inverses)
     if witness:
         raise NotAssociative(witness)
     identity, inverses = _identity_and_inverses(rows)
-    return FiniteGroup(tuple(array("i", row) for row in rows), labels,
-                       identity, inverses, name)
+    return FiniteGroup(tuple(arrays), labels, identity, inverses, name)
 
 
 def _cycle_label(perm: tuple[int, ...]) -> str:
@@ -551,19 +629,174 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
 # JSON Cayley-table files: {"labels": [...], "table": [[...], ...]}
 
 
+_CHUNK = 1 << 20  # characters read at a time from a table file
+_DECODER = json.JSONDecoder()
+_WHITESPACE = json.decoder.WHITESPACE.match
+
+
+class _JsonText:
+    """The text of a JSON file, read a chunk at a time, under a cursor.
+
+    Values are decoded by json's own scanner, and the structure around them
+    follows json.loads step by step, so every error has the message and
+    position that json.loads gives for the whole text. Text before the
+    cursor is dropped whenever more is read. A decoded value is trusted
+    once the buffer holds three more characters (a number looks that far
+    ahead) or the file has ended; until then, and after a failed decode,
+    more is read and the value decoded again.
+    """
+
+    def __init__(self, file, path):
+        self.file, self.path = file, path
+        self.buf, self.pos, self.eof = "", 0, False
+        self.base = 0           # offset of buf[0] in the whole text
+        self.lines = 0          # newlines before buf
+        self.last_newline = -1  # offset of the last of them
+        self.more()
+
+    def more(self) -> None:
+        """Drop the text before the cursor and read on, at least as much as
+        is left, so that a value longer than a chunk costs linear time."""
+        buf, pos = self.buf, self.pos
+        newlines = buf.count("\n", 0, pos)
+        if newlines:
+            self.lines += newlines
+            self.last_newline = self.base + buf.rfind("\n", 0, pos)
+        chunk = self.file.read(max(_CHUNK, len(buf) - pos))
+        self.eof = not chunk
+        self.buf, self.base, self.pos = buf[pos:] + chunk, self.base + pos, 0
+
+    def drain(self) -> None:
+        """Read the rest of the file: json.loads decodes the whole text
+        first, so a decoding error there comes before any other."""
+        while self.file.read(_CHUNK):
+            pass
+
+    def fail(self, message, pos):
+        """Raise json.loads's error at buffer offset pos."""
+        self.drain()
+        newline = self.buf.rfind("\n", 0, pos)
+        line = self.lines + self.buf.count("\n", 0, pos) + 1
+        column = pos - newline if newline >= 0 else self.base + pos - self.last_newline
+        raise TableFileError(f"{self.path} is not valid JSON: {message}: "
+                             f"line {line} column {column} (char {self.base + pos})")
+
+    def peek(self) -> str:
+        """Skip whitespace; the next character, or "" at the end."""
+        while True:
+            self.pos = _WHITESPACE(self.buf, self.pos).end()
+            if self.pos < len(self.buf) or self.eof:
+                return self.buf[self.pos:self.pos + 1]
+            self.more()
+
+    def value(self, decode=_DECODER.raw_decode):
+        """Decode the value at the cursor and move past it."""
+        while True:
+            try:
+                value, end = decode(self.buf, self.pos)
+            except json.JSONDecodeError as exc:
+                if self.eof:
+                    self.fail(exc.msg, exc.pos)
+            else:
+                if self.eof or end + 2 < len(self.buf):
+                    self.pos = end
+                    return value
+            self.more()
+
+    def object(self, member) -> None:
+        """Decode the object at the cursor; member(key) decodes each value."""
+        self.pos += 1
+        c = self.peek()
+        if c != "}":
+            while True:
+                if c != '"':
+                    self.fail("Expecting property name enclosed in double quotes", self.pos)
+                key = self.value(lambda s, quote: json.decoder.scanstring(s, quote + 1))
+                if self.peek() != ":":
+                    self.fail("Expecting ':' delimiter", self.pos)
+                self.pos += 1
+                self.peek()
+                member(key)
+                c = self.peek()
+                if c == "}":
+                    break
+                if c != ",":
+                    self.fail("Expecting ',' delimiter", self.pos)
+                self.pos += 1
+                c = self.peek()
+        self.pos += 1
+
+    def array(self, add) -> None:
+        """Decode the array at the cursor, one element at a time into add."""
+        self.pos += 1
+        if self.peek() != "]":
+            while True:
+                add(self.value())
+                c = self.peek()
+                if c == "]":
+                    break
+                if c != ",":
+                    self.fail("Expecting ',' delimiter", self.pos)
+                self.pos += 1
+                self.peek()
+        self.pos += 1
+
+
+def _read_table_file(text: _JsonText):
+    """The "table" and "labels" of a table file's top-level object, in any
+    key order. A "table" array comes back as a _CheckedRows, filled a row
+    at a time; any other "table" value as json decodes it."""
+    if text.buf.startswith("\ufeff"):
+        text.fail("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
+    found = {}
+
+    def member(key):
+        if key != "table":
+            value = text.value()
+            if key == "labels":
+                found[key] = value  # the last one counts, as in json.loads
+        elif key in found:
+            text.drain()
+            raise TableFileError(f"{text.path}: the 'table' key appears more than once")
+        elif text.peek() == "[":
+            found[key] = _CheckedRows()
+            text.array(found[key].add)
+        else:
+            found[key] = text.value()
+
+    if text.peek() == "{":
+        text.object(member)
+    else:
+        text.value()
+    if text.peek():
+        text.fail("Extra data", text.pos)
+    if "table" not in found:
+        raise TableFileError(f"{text.path}: expected an object with a 'table' key")
+    labels = found.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise TableFileError(f"{text.path}: 'labels' must be a list or null")
+    return found["table"], labels
+
+
 def load_cayley_table(path) -> FiniteGroup:
-    """Load and fully validate a Cayley-table JSON file."""
+    """Load and fully validate a Cayley-table JSON file.
+
+    The file is read a chunk at a time, and its "table" array a row at a
+    time: each row is checked and converted as soon as it is decoded, so
+    neither the whole text nor a decoded table of Python ints is ever held.
+    Errors are those of json.loads on the whole text, then those of
+    validate_cayley_table, which gets the rows as one sized sequence.
+    """
     try:
-        data = json.loads(Path(path).read_text())
+        with open(path) as file:  # the decoding and newlines of Path.read_text
+            table, labels = _read_table_file(_JsonText(file, path))
     except OSError as exc:
         raise TableFileError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise TableFileError(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict) or "table" not in data:
-        raise TableFileError(f"{path}: expected an object with a 'table' key")
-    labels = data.get("labels")
+    except UnicodeDecodeError:
+        Path(path).read_text()  # raises it again, at its offset in the whole file
+        raise
     try:
-        return validate_cayley_table(data["table"], labels, name=f"table:{path}")
+        return validate_cayley_table(table, labels, name=f"table:{path}")
     except (ValueError, TypeError) as exc:
         raise TableFileError(f"{path}: {exc}") from None
 

@@ -140,9 +140,8 @@ def multiplicative_semigroup(k: int) -> FiniteSemigroup:
 
 
 # ---------------------------------------------------------------------------
-# focused sweeps; each returns (checked, violations). sweep_cor22 runs the
-# C2.2 coset check over whole groups for the tests; run_verification reads
-# cor22_coset_checks per coset instead
+# focused checks and sweeps; each returns (checked, violations).
+# run_verification runs cor22_coset_checks on each coset of a subgroup's report
 
 
 def cor22_coset_checks(report: closedness.CosetReport) -> tuple[int, list[dict]]:
@@ -161,18 +160,6 @@ def cor22_coset_checks(report: closedness.CosetReport) -> tuple[int, list[dict]]
                 witness=None if witness is None else [g.labels[i] for i in witness],
                 detail=f"engine {engine} but fast path {fast}"))
     return len(COSET_N_RANGE), violations
-
-
-def sweep_cor22(groups) -> tuple[int, list[dict]]:
-    checked = 0
-    violations: list[dict] = []
-    for g in groups:
-        for h in proper_subgroups(g):
-            for report in closedness.analyze_subgroup(h).cosets:
-                c, v = cor22_coset_checks(report)
-                checked += c
-                violations.extend(v)
-    return checked, violations
 
 
 def sweep_extraction(g: FiniteGroup) -> tuple[int, list[dict]]:

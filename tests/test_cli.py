@@ -205,6 +205,14 @@ class TestDescribe:
         assert code == 1 and out == ""
         assert "table entries must be integers" in err
 
+    @pytest.mark.parametrize("labels", ["ab", {"a": 0, "b": 1}], ids=["string", "object"])
+    def test_labels_that_are_not_a_list_are_input_errors(self, capsys, tmp_path, labels):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"labels": labels, "table": [[0, 1], [1, 0]]}))
+        code, out, err = run_cli(capsys, "group", f"table:{path}", "--format", "json")
+        assert code == 1 and out == ""
+        assert "'labels' must be a list or null" in err
+
 
 class TestSubprocess:
     def env(self):

@@ -1,14 +1,18 @@
 import json
 from itertools import permutations, product
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nclosed import groups
 from nclosed.errors import (
     DuplicateLabel,
     GroupTooLarge,
     MixedStructures,
+    NClosedError,
     NoIdentity,
     NoInverse,
     NotAssociative,
@@ -134,6 +138,16 @@ class TestValidation:
     def test_semigroup_accepts_any_group_table(self):
         s = validate_semigroup_table(cyclic_table(4))
         assert s.order == 4
+
+    def test_negative_entry_is_not_closed(self):
+        with pytest.raises(NotClosed) as exc:
+            validate_cayley_table([[0, 1], [1, -2]])
+        assert (exc.value.row, exc.value.col, exc.value.value) == (1, 1, -2)
+
+    def test_late_type_error_wins_over_early_range_error(self):
+        for late in (1.5, True, "0", None):
+            with pytest.raises(ValueError, match="table entries must be integers"):
+                validate_cayley_table([[0, 5], [1, late]])
 
     def test_rectangular_table_rejected(self):
         with pytest.raises(ValueError):
@@ -531,3 +545,178 @@ class TestJsonTables:
         path.write_text(json.dumps({"labels": ["a", "b"], "table": [[0, 1], [1, 1]]}))
         with pytest.raises(NoInverse):
             load_cayley_table(path)
+
+
+def outcome(load):
+    """A group's labels, table and inverses, or the error's class and message."""
+    try:
+        g = load()
+    except (NClosedError, ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return g.labels, g.table_lists(), g.identity, [g.inv(x) for x in range(g.order)]
+
+
+def read_table(path, chunk):
+    """load_cayley_table, reading the file chunk characters at a time."""
+    with mock.patch.object(groups, "_CHUNK", chunk):
+        return outcome(lambda: load_cayley_table(path))
+
+
+def parsed_whole(path):
+    """The same file through json.loads and validate_cayley_table, with the
+    reader's wrapping of their errors."""
+    text = Path(path).read_text()
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        return TableFileError, f"{path} is not valid JSON: {exc}"
+    if not isinstance(data, dict) or "table" not in data:
+        return TableFileError, f"{path}: expected an object with a 'table' key"
+    got = outcome(lambda: validate_cayley_table(data["table"], data.get("labels")))
+    if got[0] in (ValueError, TypeError):
+        return TableFileError, f"{path}: {got[1]}"
+    return got
+
+
+def layouts(payload):
+    """The same payload written compactly, as dump_cayley_table writes it,
+    with its keys reversed, with extra whitespace and newlines, and with
+    unknown keys around it."""
+    yield json.dumps(payload, separators=(",", ":"))
+    yield json.dumps(payload, indent=2, sort_keys=True)
+    yield json.dumps(dict(reversed(payload.items())))
+    yield " \n" + json.dumps(payload, indent="\t", separators=(" ,\r\n ", " :  ")) + "\r\n\t"
+    yield json.dumps({"note": 'a "quoted" ] string', "x": {"table": [[1]]},
+                      **payload, "y": [-1.5e-3, None, True]})
+
+
+@st.composite
+def table_payloads(draw):
+    """Small magmas, some with one entry made out of range or of another
+    type, some with labels."""
+    table = draw(small_magmas())
+    n = len(table)
+    if draw(st.booleans()):
+        x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        table[x][y] = draw(st.sampled_from([-1, n, 10 ** 20, 1.0, True, "0", None, [0]]))
+    payload = {"table": table}
+    if draw(st.booleans()):
+        payload["labels"] = [f"e{k}" for k in range(n)]
+    return payload
+
+
+class TestTableReader:
+    """load_cayley_table reads the table a row at a time; whatever the
+    layout and wherever the chunks end, it gives the group or the error
+    that json.loads and validate_cayley_table give for the whole text."""
+
+    @given(payload=table_payloads(), layout=st.integers(0, 4), chunk=st.integers(1, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_same_as_whole_text(self, tmp_path_factory, payload, layout, chunk):
+        path = tmp_path_factory.mktemp("reader") / "t.json"
+        path.write_text(list(layouts(payload))[layout], newline="")
+        assert read_table(path, chunk) == parsed_whole(path)
+
+    @pytest.mark.parametrize("text", [
+        '{"table": []}',
+        '{"table": [[0, 1], [1]]}',
+        '{"table": [[0, 1], [1, 0], [0, 1]]}',
+        '{"table": [[0, 5], [1, 1.5]]}',
+        '{"table": [[0, -1], [1, "0"]]}',
+        '{"table": [[0, 7], [true, 0]]}',
+        '{"table": [[0, 2], 5]}',
+        '{"table": [[0, 9], [1]]}',
+        '{"labels": ["a", "a"], "table": [[0, 3], [1, 0]]}',
+        '{"labels": ["a"], "table": [[0, 3], [1, 0]]}',
+        '{"table": 5}',
+        '{"table": "ab"}',
+        '{"table": null}',
+        '{"labels": ["a"]}',
+        '{"x": {"table": [[0]]}}',
+        '[[0]]',
+        '',
+        '{"table": [[0]]} x',
+        '{"table": [[0]]}\n\n,',
+        '{"table": [[0, 1], [1, 0]',
+        '{"table": [[0],]}',
+        '{"table" [[0]]}',
+        '{"table": [[0]],}',
+        '{"table": [[1.]]}',
+        '{"table": [[NaN]]}',
+        '\ufeff{"table": [[0]]}',
+        '{\r\n"table":\r[[0, 1],\r\n[1, 0]]\r\n}  ',
+        # scalars whose end is only known from the characters after them
+        '{"z": 12.5e+3, "table": [[0]], "y": -7, "x": 1.}',
+        '{"table": [[0, 1], 10, 2.5E-1], "w": 1e5}',
+        '-12.5e+3 ',
+    ], ids=lambda text: text[:30])
+    def test_hand_written_cases(self, tmp_path, text):
+        path = tmp_path / "t.json"
+        path.write_text(text, newline="")
+        for chunk in (*range(1, 12), 1 << 20):
+            assert read_table(path, chunk) == parsed_whole(path), chunk
+
+    @pytest.mark.parametrize("rows, error", [
+        ([[0]] * 5041, "order 5041 exceeds the cap of 5040"),
+        ([[0, 1.5]] * 5041, "order 5041 exceeds the cap of 5040"),
+        ([list(range(5041))], "table must be square"),
+    ])
+    def test_order_cap(self, tmp_path, rows, error):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"table": rows}))
+        got = read_table(path, 1 << 12)
+        assert got == parsed_whole(path)
+        assert got[1].endswith(error)
+
+    def test_every_truncation(self, tmp_path):
+        text = json.dumps({"labels": ["e", "a"], "table": [[0, 1], [1, 0]]}, indent=1)
+        path = tmp_path / "t.json"
+        for cut in range(len(text)):
+            path.write_text(text[:cut])
+            assert read_table(path, 3) == parsed_whole(path), cut
+
+    def test_undecodable_byte_is_reported_at_its_offset_in_the_file(self, tmp_path):
+        path = tmp_path / "t.json"
+        text = json.dumps({"table": cyclic_table(60)}, indent=2).encode()
+        path.write_bytes(text[:-3] + b"\xff" + text[-3:])
+        with pytest.raises(UnicodeDecodeError) as whole:
+            path.read_text()
+        assert read_table(path, 64) == (UnicodeDecodeError, str(whole.value))
+
+    @pytest.mark.parametrize("head", [b'{"table": [[0,]] ', b'{"table" [[0]] ',
+                                      b'{"table": [[0]], "table": [[0]] '])
+    def test_undecodable_byte_comes_before_a_file_error(self, tmp_path, head):
+        # json.loads decodes the whole text before it parses any of it
+        path = tmp_path / "t.json"
+        path.write_bytes(head + b" " * 20000 + b"\xff}")
+        with pytest.raises(UnicodeDecodeError) as whole:
+            path.read_text()
+        assert read_table(path, 64) == (UnicodeDecodeError, str(whole.value))
+
+    @pytest.mark.parametrize("labels", ["abcd", {"a": 1, "b": 2, "c": 3, "d": 4}, 4, True])
+    def test_labels_must_be_a_list_or_null(self, tmp_path, labels):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"labels": labels, "table": cyclic_table(4)}))
+        with pytest.raises(TableFileError, match="'labels' must be a list or null"):
+            load_cayley_table(path)
+
+    def test_null_labels_are_the_indices(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"labels": None, "table": cyclic_table(3)}))
+        assert load_cayley_table(path).labels == ("0", "1", "2")
+
+    def test_repeated_table_key_is_rejected(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text('{"table": [[1]], "table": [[0]]}')
+        with pytest.raises(TableFileError, match="'table' key appears more than once"):
+            load_cayley_table(path)
+
+    def test_reader_hands_validation_a_sized_sequence(self, tmp_path, monkeypatch):
+        seen = []
+        validate = groups.validate_cayley_table
+        monkeypatch.setattr(groups, "validate_cayley_table",
+                            lambda table, *a, **k: seen.append(len(table)) or validate(table, *a, **k))
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"table": cyclic_table(7)}))
+        assert load_cayley_table(path).order == 7
+        assert seen == [7]
