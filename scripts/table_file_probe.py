@@ -1,15 +1,15 @@
 """Time `group table:` on a shuffled cyclic table file, and read its peak RSS.
 
-    python3 scripts/table_file_probe.py N [--seed S] [--keep PATH]
+    python3 scripts/table_file_probe.py N
 
-Writes the table of Z_N, its elements listed in a seeded random order, as a
-table file one row at a time, so this process never holds the table. Then
-runs `python -m nclosed group table:<file> --format json` as a child and
-prints one JSON line: the order, abelian flag and exponent the child
-reported, its wall time, and its peak RSS read with os.wait4. This process
-stays small, so the child's peak is its own: a child's ru_maxrss starts
-from its parent's RSS at the fork. The file goes to a temporary directory
-and is removed, unless --keep names where to write it.
+Writes the table of Z_N, its elements listed in a random order fixed by
+seed 0, as a table file in a temporary directory, one row at a time, so
+this process never holds the table. Then runs `python -m nclosed group
+table:<file> --format json` as a child and prints one JSON line: the
+order, abelian flag and exponent the child reported, its wall time, and
+its peak RSS read with os.wait4. This process stays small, so the child's
+peak is its own: a child's ru_maxrss starts from its parent's RSS at the
+fork. The file is removed afterwards.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def write_shuffled_cyclic(n: int, seed: int, path: Path) -> None:
+def write_shuffled_cyclic(n: int, path: Path) -> None:
     """Element k is the residue res[k]; row x holds res^-1 of res[x] + res[y]."""
     res = list(range(n))
-    random.Random(seed).shuffle(res)
+    random.Random(0).shuffle(res)
     index = [0] * n
     for k, r in enumerate(res):
         index[r] = k
@@ -68,18 +68,12 @@ def probe(path: Path) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("n", type=int, help="order of the cyclic group, 1..5040")
-    parser.add_argument("--seed", type=int, default=0, help="seed of the element order")
-    parser.add_argument("--keep", type=Path, help="write the table file here and keep it")
     args = parser.parse_args()
-    if args.keep:
-        write_shuffled_cyclic(args.n, args.seed, args.keep)
-        result = probe(args.keep)
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / f"z{args.n}.json"
-            write_shuffled_cyclic(args.n, args.seed, path)
-            result = probe(path)
-    print(json.dumps({"n": args.n, "seed": args.seed, **result}))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"z{args.n}.json"
+        write_shuffled_cyclic(args.n, path)
+        result = probe(path)
+    print(json.dumps({"n": args.n, **result}))
     return 0
 
 

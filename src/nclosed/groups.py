@@ -634,6 +634,19 @@ _DECODER = json.JSONDecoder()
 _WHITESPACE = json.decoder.WHITESPACE.match
 
 
+def _trailing_comma(text):
+    """json's error for the comma that ends text's container: its message,
+    and whether it points at the comma (Python 3.13 on) or at the bracket."""
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        return exc.msg, exc.pos == len(text) - 2
+
+
+_ARRAY_COMMA = _trailing_comma("[0,]")
+_OBJECT_COMMA = _trailing_comma('{"a":0,}')
+
+
 class _JsonText:
     """The text of a JSON file, read a chunk at a time, under a cursor.
 
@@ -689,6 +702,21 @@ class _JsonText:
                 return self.buf[self.pos:self.pos + 1]
             self.more()
 
+    def past_comma(self, close, error) -> str:
+        """Skip the comma at the cursor and the whitespace after it; the next
+        character. If that is close, raise json's trailing-comma error."""
+        while True:
+            end = _WHITESPACE(self.buf, self.pos + 1).end()
+            if end < len(self.buf) or self.eof:
+                break
+            self.more()  # keeps the comma, which the error may point at
+        c = self.buf[end:end + 1]
+        if c == close:
+            message, at_comma = error
+            self.fail(message, self.pos if at_comma else end)
+        self.pos = end
+        return c
+
     def value(self, decode=_DECODER.raw_decode):
         """Decode the value at the cursor and move past it."""
         while True:
@@ -722,8 +750,7 @@ class _JsonText:
                     break
                 if c != ",":
                     self.fail("Expecting ',' delimiter", self.pos)
-                self.pos += 1
-                c = self.peek()
+                c = self.past_comma("}", _OBJECT_COMMA)
         self.pos += 1
 
     def array(self, add) -> None:
@@ -737,8 +764,7 @@ class _JsonText:
                     break
                 if c != ",":
                     self.fail("Expecting ',' delimiter", self.pos)
-                self.pos += 1
-                self.peek()
+                self.past_comma("]", _ARRAY_COMMA)
         self.pos += 1
 
 

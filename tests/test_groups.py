@@ -641,6 +641,12 @@ class TestTableReader:
         '{"table": [[0],]}',
         '{"table" [[0]]}',
         '{"table": [[0]],}',
+        # trailing commas: Python 3.13 names them and points at the comma
+        '{"table": [[0, 1], [1, 0] ,\n\t ]}',
+        '{"table": [[0]] ,\r\n }',
+        '{"labels": ["e"],\n"table": [[0]],}',
+        '{"table": [[0]], "x": [1,]}',
+        '{"table": [[0]],',
         '{"table": [[1.]]}',
         '{"table": [[NaN]]}',
         '\ufeff{"table": [[0]]}',
