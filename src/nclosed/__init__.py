@@ -7,69 +7,29 @@ are n-closed (least exponent, least closedness, full spectrum), extracts
 the subgroup hiding behind any finite n-closed non-subgroup set, and
 decides normality purely through coset closedness, cross-checked against
 the classical conjugation sweep.
+
+The package exports the names the README documents; everything else
+lives in its modules (groups, subsets, closedness, normality, parsing,
+scan, verify).
 """
 
 from .closedness import (
-    CosetReport,
-    SpectrumDescription,
-    SubgroupExtraction,
-    SubgroupReport,
+    ClosednessProfile,
     analyze_coset,
     analyze_subgroup,
+    closedness_profile,
     closedness_spectrum,
     extract_subgroup,
     is_n_closed,
     is_n_closed_oracle,
     least_closed_scan,
-    least_exponent,
     least_power_exponent,
-    n_closed_witness,
     power_coset_closedness,
-    semigroup_shift_2closed,
 )
 from .errors import NClosedError
-from .groups import (
-    Element,
-    FiniteGroup,
-    FiniteSemigroup,
-    direct_product,
-    dump_cayley_table,
-    element_order,
-    inverse,
-    load_cayley_table,
-    make_named,
-    mul,
-    power,
-    validate_cayley_table,
-    validate_semigroup_table,
-)
-from .normality import (
-    NormalityVerdict,
-    normal_iff_existential,
-    normal_iff_index_plus_one,
-)
-from .parsing import parse_group_spec, parse_permutation, parse_subset_spec
-from .scan import ScanReport, run_scan
-from .subsets import (
-    CosetPartition,
-    GSubset,
-    Subgroup,
-    all_subgroups,
-    coset_commutes,
-    generated_subgroup,
-    index,
-    is_normal_classic,
-    is_subgroup,
-    left_cosets,
-    product_set,
-    proper_subgroups,
-    translate,
-)
-from .verify import (
-    CLAIMS,
-    DEFAULT_CORPUS,
-    VerificationReport,
-    run_verification,
-)
+from .groups import Element, dump_cayley_table, make_named
+from .normality import normal_iff_existential, normal_iff_index_plus_one
+from .parsing import parse_group_spec
+from .subsets import GSubset, Subgroup, is_normal_classic, left_cosets
 
 __version__ = "0.1.0"

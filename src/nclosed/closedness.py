@@ -221,10 +221,6 @@ class CosetReport:
     def least_closedness(self) -> int | None:
         return self.least_exponent + 1 if self.commutes else None
 
-    @property
-    def spectrum_step(self) -> int | None:
-        return self.least_exponent if self.commutes else None
-
 
 def _prefix_products(struct: FiniteSemigroup, mask: int, k: int) -> list[int]:
     """D^k for k >= 1, sorted: the product of every length-k tuple from D.

@@ -70,10 +70,6 @@ class GroupTooLargeForScan(NClosedError):
     """Group order exceeds a command-specific enumeration cap."""
 
 
-class GenerationOverflow(NClosedError):
-    """Generated group grew past the order cap."""
-
-
 class MixedStructures(NClosedError):
     """Operation combined elements or subsets of different structures."""
 

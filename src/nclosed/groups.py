@@ -11,9 +11,10 @@ identity at index 0.
 Each row is an array("i"). The named families and direct products are
 built row by row, with their inverses given by formula. Table validation
 works on the rows of a table as tuples that share one int object per
-element, so that whole rows are gathered and compared in C; the
-commutativity and element-order facts walk a greedy generating set and
-one power sequence per cyclic subgroup.
+element, so that whole rows are gathered and compared in C, and converts
+each to an array("i") once the table has passed; the commutativity and
+element-order facts walk a greedy generating set and one power sequence
+per cyclic subgroup.
 """
 
 from __future__ import annotations
@@ -150,37 +151,8 @@ class Element:
     def label(self) -> str:
         return self.owner.labels[self.index]
 
-    def __mul__(self, other: "Element") -> "Element":
-        same_structure(self.owner, other.owner)
-        return Element(self.owner, self.owner.mul(self.index, other.index))
-
     def __repr__(self):
         return f"<{self.label} in {self.owner.name}>"
-
-
-# spec-level element arithmetic ---------------------------------------------
-
-
-def mul(x: Element, y: Element) -> Element:
-    return x * y
-
-
-def inverse(x: Element) -> Element:
-    if not isinstance(x.owner, FiniteGroup):
-        raise TypeError("inverse requires a group element")
-    return Element(x.owner, x.owner.inv(x.index))
-
-
-def power(x: Element, m: int) -> Element:
-    if not isinstance(x.owner, FiniteGroup):
-        raise TypeError("power requires a group element")
-    return Element(x.owner, x.owner.pow(x.index, m))
-
-
-def element_order(x: Element) -> int:
-    if not isinstance(x.owner, FiniteGroup):
-        raise TypeError("element order requires a group element")
-    return x.owner.order_of(x.index)
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +163,12 @@ class _CheckedRows:
     """A candidate table taken one row at a time, for _checked_rows.
 
     Each row is checked as it is added, against the length of the first
-    row, and kept in two forms: a tuple that shares one int object per
-    element, so that validation gathers and compares whole rows in C, and
-    the final array("i"). The first fault of each kind is recorded, not
-    raised, so that finish raises in the documented order whichever rows
-    the faults are in. Once the table is known to fail, no row is kept, and
-    later rows are checked only for the faults that would still win.
+    row, and kept as a tuple that shares one int object per element, so
+    that validation gathers and compares whole rows in C. The first fault
+    of each kind is recorded, not raised, so that finish raises in the
+    documented order whichever rows the faults are in. Once the table is
+    known to fail, no row is kept, and later rows are checked only for the
+    faults that would still win.
     """
 
     def __init__(self):
@@ -204,7 +176,6 @@ class _CheckedRows:
         self.side = None
         self.ints = ()
         self.rows: list[tuple] = []
-        self.arrays: list[array] = []
         self.not_square = None    # message for the first row not of the first's length
         self.bad_kind = None      # name of the first entry type that is not int
         self.out_of_range = None  # (row, column, value) of the first such entry
@@ -212,27 +183,23 @@ class _CheckedRows:
     def __len__(self):
         return self.count
 
-    def _drop_rows(self):
-        self.rows.clear()
-        self.arrays.clear()
-
     def add(self, row) -> None:
         i = self.count
         self.count += 1
         if self.not_square or i >= MAX_ORDER:  # the verdict can no longer change
-            self._drop_rows()
+            self.rows.clear()
             return
         try:
             k = len(row)
         except TypeError as exc:
             self.not_square = f"table entries must be integers: {exc}"
-            self._drop_rows()
+            self.rows.clear()
             return
         if i == 0:
             self.side = k
         if k != self.side or not 0 < k <= MAX_ORDER:
             self.not_square = "table must be square"
-            self._drop_rows()
+            self.rows.clear()
             return
         if not self.ints:
             self.ints = tuple(range(k))
@@ -245,7 +212,7 @@ class _CheckedRows:
                          if t is bool or not issubclass(t, int)), None)
             if kind is not None:
                 self.bad_kind = kind.__name__
-                self._drop_rows()
+                self.rows.clear()
                 return
         if self.out_of_range:
             return
@@ -258,11 +225,10 @@ class _CheckedRows:
         if gathered is None or min(row) < 0:
             j = next(j for j, v in enumerate(row) if not 0 <= v < k)
             self.out_of_range = (i, j, row[j])
-            self._drop_rows()
+            self.rows.clear()
             return
         # itemgetter of a single index returns the item, not a tuple
         self.rows.append(gathered if k > 1 else (gathered,))
-        self.arrays.append(array("i", row))
 
     def finish(self, labels):
         n = self.count
@@ -280,12 +246,12 @@ class _CheckedRows:
         labels = _check_labels(labels, n)
         if self.out_of_range:
             raise NotClosed(*self.out_of_range)
-        return self.rows, self.arrays, labels
+        return self.rows, labels
 
 
 def _checked_rows(table, labels):
-    """The rows of a square, integer, closed table, as tuples that share one
-    int object per element and as arrays, and its labels; raises ValueError,
+    """The rows of a square, integer, closed table, as a list of tuples that
+    share one int object per element, and its labels; raises ValueError,
     GroupTooLarge, DuplicateLabel or NotClosed, checked in that order.
 
     table is a sized sequence of rows, or a _CheckedRows that a reader has
@@ -401,6 +367,14 @@ def _identity_and_inverses(rows) -> tuple[int, array]:
     return identity, inverses
 
 
+def _as_arrays(rows: list) -> tuple[array, ...]:
+    """The validated tuple rows as array("i") rows, each tuple replaced, and
+    so dropped, as soon as it is converted."""
+    for x, row in enumerate(rows):
+        rows[x] = array("i", row)
+    return tuple(rows)
+
+
 def validate_semigroup_table(table, labels=None, name="semigroup") -> FiniteSemigroup:
     """Check closure and associativity exactly; return the semigroup.
 
@@ -409,11 +383,11 @@ def validate_semigroup_table(table, labels=None, name="semigroup") -> FiniteSemi
     raises NotClosed, NotAssociative (with a witness triple) or
     DuplicateLabel.
     """
-    rows, arrays, labels = _checked_rows(table, labels)
+    rows, labels = _checked_rows(table, labels)
     witness = _light_witness(rows)
     if witness:
         raise NotAssociative(witness)
-    return FiniteSemigroup(tuple(arrays), labels, name)
+    return FiniteSemigroup(_as_arrays(rows), labels, name)
 
 
 def validate_cayley_table(table, labels=None, name="group") -> FiniteGroup:
@@ -428,12 +402,12 @@ def validate_cayley_table(table, labels=None, name="group") -> FiniteGroup:
     NoIdentity or NoInverse, even if it is also not associative. Every
     table is checked in O(order^2 log order).
     """
-    rows, arrays, labels = _checked_rows(table, labels)
+    rows, labels = _checked_rows(table, labels)
     witness = _light_witness(rows, group_check=_identity_and_inverses)
     if witness:
         raise NotAssociative(witness)
     identity, inverses = _identity_and_inverses(rows)
-    return FiniteGroup(tuple(arrays), labels, identity, inverses, name)
+    return FiniteGroup(_as_arrays(rows), labels, identity, inverses, name)
 
 
 def _cycle_label(perm: tuple[int, ...]) -> str:
@@ -808,19 +782,23 @@ def load_cayley_table(path) -> FiniteGroup:
     """Load and fully validate a Cayley-table JSON file.
 
     The file is read a chunk at a time, and its "table" array a row at a
-    time: each row is checked and converted as soon as it is decoded, so
-    neither the whole text nor a decoded table of Python ints is ever held.
-    Errors are those of json.loads on the whole text, then those of
-    validate_cayley_table, which gets the rows as one sized sequence.
+    time: each row is checked and kept as a tuple of shared ints as soon as
+    it is decoded, so neither the whole text nor a decoded table of Python
+    ints is ever held. Errors are those of json.loads on the whole text,
+    then those of validate_cayley_table, which gets the rows as one sized
+    sequence; a byte that is not valid text is a TableFileError too.
     """
     try:
         with open(path) as file:  # the decoding and newlines of Path.read_text
             table, labels = _read_table_file(_JsonText(file, path))
     except OSError as exc:
         raise TableFileError(f"cannot read {path}: {exc}") from None
-    except UnicodeDecodeError:
-        Path(path).read_text()  # raises it again, at its offset in the whole file
-        raise
+    except UnicodeDecodeError as exc:
+        try:
+            Path(path).read_text()  # the same error at its offset in the whole file
+        except UnicodeDecodeError as whole:
+            exc = whole
+        raise TableFileError(f"{path} is not valid text: {exc}") from None
     try:
         return validate_cayley_table(table, labels, name=f"table:{path}")
     except (ValueError, TypeError) as exc:

@@ -21,7 +21,6 @@ from array import array
 
 from .errors import (
     EmptySubsetSpec,
-    GenerationOverflow,
     GroupTooLarge,
     ParseError,
     PointOutOfRange,
@@ -168,8 +167,6 @@ def _parse_atom(sc: _Scanner) -> FiniteGroup:
 
 def _group_from_subgroup(sub: Subgroup, base: FiniteGroup, name: str) -> FiniteGroup:
     ids = sub.carrier.indices()
-    if len(ids) > MAX_ORDER:
-        raise GenerationOverflow(f"generated order {len(ids)} exceeds cap {MAX_ORDER}")
     pos = {gid: i for i, gid in enumerate(ids)}
     rows = tuple(array("i", (pos[base.mul(x, y)] for y in ids)) for x in ids)
     labels = tuple(base.labels[i] for i in ids)

@@ -1,8 +1,8 @@
 """Subsets, subgroups, and cosets of a fixed finite group.
 
-Subsets are bitmasks over element indices, so membership is O(1) and a
-product set is a union of precomputed row-translate masks. Everything here
-is immutable after construction and pure, so sweeps can run concurrently.
+Subsets are bitmasks over element indices, so membership is O(1), and
+x*A and A*x are each one mask built from the rows. Everything here is
+immutable after construction and pure, so sweeps can run concurrently.
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ class GSubset:
                 raise UnknownLabel(s)
             ids.append(i)
         return cls.from_indices(owner, ids)
-
-    @classmethod
-    def full(cls, owner: FiniteSemigroup) -> "GSubset":
-        return cls(owner, (1 << owner.order) - 1)
 
     @property
     def size(self) -> int:
@@ -122,13 +118,8 @@ class Subgroup:
 class CosetPartition:
     """All left cosets of a subgroup, representatives at least index."""
 
-    subgroup: Subgroup
     cosets: tuple[GSubset, ...]
     representatives: tuple[int, ...]
-
-    @property
-    def index(self) -> int:
-        return len(self.cosets)
 
 
 # ---------------------------------------------------------------------------
@@ -151,31 +142,8 @@ def translate_mask_right(struct: FiniteSemigroup, mask: int, x: int) -> int:
     return out
 
 
-def product_mask(struct: FiniteSemigroup, amask: int, bmask: int) -> int:
-    out = 0
-    for a in iter_bits(amask):
-        out |= translate_mask_left(struct, a, bmask)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # operations
-
-
-def product_set(a: GSubset, b: GSubset) -> GSubset:
-    """{x*y : x in A, y in B}."""
-    same_structure(a.owner, b.owner)
-    return GSubset(a.owner, product_mask(a.owner, a.mask, b.mask))
-
-
-def translate(x: Element, a: GSubset, side: str = "left") -> GSubset:
-    """x*A (left) or A*x (right)."""
-    same_structure(x.owner, a.owner)
-    if side == "left":
-        return GSubset(a.owner, translate_mask_left(a.owner, x.index, a.mask))
-    if side == "right":
-        return GSubset(a.owner, translate_mask_right(a.owner, a.mask, x.index))
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def is_subgroup(a: GSubset) -> bool:
@@ -242,7 +210,7 @@ def left_cosets(h: Subgroup) -> CosetPartition:
         cosets.append(GSubset(g, cm))
         reps.append(x)
         covered |= cm
-    return CosetPartition(h, tuple(cosets), tuple(reps))
+    return CosetPartition(tuple(cosets), tuple(reps))
 
 
 def index(h: Subgroup) -> int:

@@ -29,7 +29,7 @@ from nclosed.errors import (
     RepInSubgroup,
 )
 from nclosed.groups import Element, make_named
-from nclosed.subsets import GSubset, Subgroup, is_subgroup, translate
+from nclosed.subsets import GSubset, Subgroup, is_subgroup, translate_mask_left
 from nclosed.verify import multiplicative_semigroup
 
 
@@ -72,7 +72,7 @@ class TestEngine:
             is_n_closed(GSubset.from_indices(z4, [0]), 1)
 
     def test_whole_group_closed_for_all_n(self, s3):
-        g = GSubset.full(s3)
+        g = GSubset(s3, (1 << s3.order) - 1)
         for n in range(2, 8):
             assert is_n_closed(g, n)
 
@@ -198,7 +198,7 @@ class TestAnalyzeCoset:
         assert rep.commutes
         assert rep.least_exponent == 3
         assert rep.least_closedness == 4
-        assert rep.spectrum_step == 3
+        assert least_exponent(Element(z9, 1), h) == 3
         assert rep.violations == ()
 
     def test_z4(self, z4):
@@ -212,10 +212,10 @@ class TestAnalyzeCoset:
         rep = analyze_coset(a, h)
         assert not rep.commutes
         assert rep.least_closedness is None
-        assert rep.spectrum_step is None
+        assert rep.least_exponent == least_exponent(a, h) == 2
         # powers still behave: a^6 lands in H, a^7 back in L, for both
         # elements of the coset
-        coset = translate(a, h.carrier, "left")
+        coset = GSubset(s3, translate_mask_left(s3, a.index, h.mask))
         for b in coset.indices():
             assert s3.pow(b, 6) in h
             assert s3.pow(b, 7) in coset
@@ -234,7 +234,7 @@ class TestAnalyzeCoset:
                         continue
                     r = analyze_coset(Element(g, rep), h)
                     assert r.least_exponent >= 2
-                    assert r.coset == translate(Element(g, rep), h.carrier, "left")
+                    assert r.coset == GSubset(g, translate_mask_left(g, rep, h.mask))
                     assert r.profile == closedness_profile(r.coset)
                     if r.commutes:
                         assert r.least_closedness == r.least_exponent + 1 >= 3
@@ -308,7 +308,7 @@ class TestSpectrum:
         hits = [m for m in range(2, 21) if desc.contains(m)]
         assert hits == [4, 7, 10, 13, 16, 19]
         assert desc.violations == ()
-        coset = translate(Element(z9, 1), h.carrier, "left")
+        coset = GSubset(z9, translate_mask_left(z9, 1, h.mask))
         assert hits == [m for m in range(2, 21) if is_n_closed(coset, m)]
 
     def test_z4_spectrum_odd(self, z4):
@@ -397,14 +397,14 @@ class TestExtraction:
         ext = extract_subgroup(d, 3)
         assert ext.subgroup.carrier.indices() == [0, 2]
         assert ext.coset_rep.index == 1
-        assert translate(ext.coset_rep, ext.subgroup.carrier, "left") == d
+        assert translate_mask_left(z4, ext.coset_rep.index, ext.subgroup.mask) == d.mask
         assert ext.violations == ()
 
     def test_z9(self, z9):
         d = GSubset.from_indices(z9, [1, 4, 7])
         ext = extract_subgroup(d, 4)
         assert ext.subgroup.carrier.indices() == [0, 3, 6]
-        assert translate(ext.coset_rep, ext.subgroup.carrier, "left") == d
+        assert translate_mask_left(z9, ext.coset_rep.index, ext.subgroup.mask) == d.mask
 
     def test_singleton_involution(self, s3):
         d = GSubset.from_labels(s3, ["(1 2)"])
@@ -435,7 +435,7 @@ class TestExtraction:
                     r = analyze_coset(a, h)
                     if not r.commutes:
                         continue
-                    coset = translate(a, h.carrier, "left")
+                    coset = GSubset(g, translate_mask_left(g, rep, h.mask))
                     ext = extract_subgroup(coset, r.least_closedness)
                     assert ext.violations == ()
                     assert ext.subgroup.carrier.mask == h.mask
@@ -491,6 +491,6 @@ class TestCosetMembershipPattern:
                     if rep in h or not coset_commutes(Element(g, rep), h):
                         continue
                     t = least_exponent(Element(g, rep), h)
-                    coset = translate(Element(g, rep), h.carrier, "left")
+                    coset = GSubset(g, translate_mask_left(g, rep, h.mask))
                     for b in coset.indices():
                         assert least_exponent(Element(g, b), h) == t

@@ -7,11 +7,12 @@ from nclosed.groups import Element
 from nclosed.normality import normal_iff_existential, normal_iff_index_plus_one
 from nclosed.parsing import parse_group_spec
 from nclosed.subsets import (
+    GSubset,
     Subgroup,
     is_normal_classic,
     left_cosets,
     proper_subgroups,
-    translate,
+    translate_mask_left,
 )
 
 
@@ -22,7 +23,7 @@ class TestIndexPlusOne:
         assert v.index == 2
         assert v.verdict_classic and v.verdict_via_closedness and v.agreement
         # product of three odd permutations is odd, so the coset is 3-closed
-        coset = translate(Element(s3, s3.index_of_label("(1 2)")), a3.carrier, "left")
+        coset = GSubset(s3, translate_mask_left(s3, s3.index_of_label("(1 2)"), a3.mask))
         assert is_n_closed(coset, 3)
 
     def test_transposition_subgroup_in_s3(self, s3):
@@ -32,7 +33,7 @@ class TestIndexPlusOne:
         assert not v.verdict_classic
         assert not v.verdict_via_closedness
         assert v.agreement
-        coset = translate(Element(s3, s3.index_of_label("(1 3)")), h.carrier, "left")
+        coset = GSubset(s3, translate_mask_left(s3, s3.index_of_label("(1 3)"), h.mask))
         assert not is_n_closed(coset, 4)
 
     def test_i_subgroup_of_q8(self, q8):
@@ -161,7 +162,7 @@ class TestOneReport:
         h = Subgroup.from_labels(s3, ["e", "(1 2)"])
         report = analyze_subgroup(h)
         partition = left_cosets(h)
-        assert report.index == partition.index == 3
+        assert report.index == len(partition.cosets) == 3
         assert [c.rep.index for c in report.cosets] == \
             [r for r in partition.representatives if r not in h]
         assert [c.coset for c in report.cosets] == \

@@ -13,7 +13,6 @@ from nclosed.errors import (
     UnknownLabel,
     UnsupportedParameter,
 )
-from nclosed.groups import Element, element_order, make_named
 from nclosed.parsing import parse_group_spec, parse_permutation, parse_subset_spec
 
 
@@ -81,7 +80,7 @@ class TestParseGroupSpec:
     def test_product_has_order_six_element(self):
         g = parse_group_spec("Z2xZ3")
         assert g.order == 6
-        assert max(element_order(Element(g, i)) for i in range(6)) == 6
+        assert max(g.order_of(i) for i in range(6)) == 6
 
     def test_perm_generated_full_s3(self):
         g = parse_group_spec("perm(3): (1 2), (1 2 3)")

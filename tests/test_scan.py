@@ -13,7 +13,7 @@ from nclosed.groups import Element, validate_cayley_table
 from nclosed.parsing import parse_group_spec
 from nclosed import closedness, util
 from nclosed.scan import run_scan
-from nclosed.subsets import GSubset, Subgroup, coset_commutes, translate
+from nclosed.subsets import GSubset, Subgroup, coset_commutes, translate_mask_left
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 
@@ -43,7 +43,7 @@ class TestScanClassification:
             h = Subgroup(GSubset(s3, e.subgroup_mask))
             b = Element(s3, e.rep)
             assert coset_commutes(b, h)
-            assert translate(b, h.carrier, "left").mask == e.mask
+            assert translate_mask_left(s3, e.rep, h.mask) == e.mask
             assert e.least_closedness == least_exponent(b, h) + 1
         assert not report.violations
 
