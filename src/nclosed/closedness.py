@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from math import gcd
+from operator import itemgetter
 
 from .errors import (
     AlreadyClosed,
@@ -158,7 +159,10 @@ def n_closed_witness(d: GSubset, n: int) -> list[int] | None:
 
 
 def is_n_closed_oracle(d: GSubset, n: int, budget: int = ORACLE_BUDGET) -> bool:
-    """Same contract as is_n_closed, by explicit enumeration of all |D|^n tuples."""
+    """Same contract as is_n_closed, by explicit enumeration of all |D|^n tuples.
+
+    Each (n-1)-prefix is folded once from the rows, and one gather of the
+    prefix's row forms the products with all |D| last factors."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     _require_nonempty(d)
@@ -166,12 +170,14 @@ def is_n_closed_oracle(d: GSubset, n: int, budget: int = ORACLE_BUDGET) -> bool:
     if len(ids) ** n > budget:
         raise BudgetExceeded(f"|D|^n = {len(ids)}^{n} exceeds budget {budget}")
     rows = d.owner._rows
-    dmask = d.mask
-    for tup in itertools.product(ids, repeat=n):
-        p = tup[0]
-        for q in tup[1:]:
+    members = set(ids)
+    # itemgetter of one index returns the bare item, not a 1-tuple
+    last = itemgetter(*ids) if len(ids) > 1 else lambda row: (row[ids[0]],)
+    for prefix in itertools.product(ids, repeat=n - 1):
+        p = prefix[0]
+        for q in prefix[1:]:
             p = rows[p][q]
-        if not dmask >> p & 1:
+        if not members.issuperset(last(rows[p])):  # stops at the first outside D
             return False
     return True
 
@@ -374,7 +380,9 @@ def least_power_exponent(report: CosetReport, m: int) -> tuple[int, tuple[dict, 
         for n, detail in failed)
 
 
-def power_coset_closedness(report: CosetReport, m: int) -> tuple[GSubset, int, tuple[dict, ...]]:
+def power_coset_closedness(report: CosetReport, m: int,
+                           profiles: dict[int, ClosednessProfile] | None = None,
+                           ) -> tuple[GSubset, int, tuple[dict, ...]]:
     """The coset a^m*H with its least closedness (t/gcd(m,t)) + 1, and the
     certificates of every check it failed.
 
@@ -382,6 +390,10 @@ def power_coset_closedness(report: CosetReport, m: int) -> tuple[GSubset, int, t
     closedness of the coset must equal c + 1 (when a^m lies in H, c = 1 and
     the coset is H, least closedness 2), and the full pattern
     "f-closed iff f = b*c + 1" is checked up to f = 3c + 1.
+
+    a^m*H is H or another coset of H. profiles, when given, maps coset masks
+    to their profiles (a SubgroupReport's, say): the coset's profile is read
+    from it, or computed and added to it; without it, it is computed.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -392,7 +404,10 @@ def power_coset_closedness(report: CosetReport, m: int) -> tuple[GSubset, int, t
     t = report.least_exponent
     c = t // gcd(m, t)
     coset = GSubset(g, translate_mask_left(g, g.pow(a.index, m), h.mask))
-    profile = closedness_profile(coset)  # a^m*H is another coset, with its own profile
+    profiles = {} if profiles is None else profiles
+    profile = profiles.get(coset.mask)
+    if profile is None:
+        profile = profiles[coset.mask] = closedness_profile(coset)
     failed = []  # (n, detail) of each failed check
     if profile.least != c + 1:
         failed.append((c + 1, f"engine found {profile.least}"))
@@ -472,9 +487,9 @@ def semigroup_shift_2closed(d: GSubset, n: int) -> dict[int, tuple[GSubset, bool
     """Shift an n-closed semigroup subset by every prefix product p in
     D^(n-2); map each p to its shift set p*D and that set's 2-closedness.
 
-    D's n-closedness is decided once, and each shift set once. A False
-    second component would contradict the shift-set theorem and is treated
-    as a violation by callers.
+    D's n-closedness is decided once, and each distinct shift set once,
+    however many p give it. A False second component would contradict the
+    shift-set theorem and is treated as a violation by callers.
     """
     if n < 3:
         raise ValueError(f"shift requires n >= 3, got {n}")
@@ -482,8 +497,12 @@ def semigroup_shift_2closed(d: GSubset, n: int) -> dict[int, tuple[GSubset, bool
     if not is_n_closed(d, n):
         raise NotNClosed(f"subset is not {n}-closed")
     struct = d.owner
+    decided: dict[int, tuple[GSubset, bool]] = {}
     shifts = {}
     for p in _prefix_products(struct, d.mask, n - 2):
-        shifted = GSubset(struct, translate_mask_left(struct, p, d.mask))
-        shifts[p] = (shifted, is_n_closed(shifted, 2))
+        mask = translate_mask_left(struct, p, d.mask)
+        if mask not in decided:
+            shifted = GSubset(struct, mask)
+            decided[mask] = (shifted, is_n_closed(shifted, 2))
+        shifts[p] = decided[mask]
     return shifts

@@ -19,6 +19,7 @@ per cyclic subgroup.
 
 from __future__ import annotations
 
+import codecs
 import json
 import sys
 from array import array
@@ -778,6 +779,30 @@ def _read_table_file(text: _JsonText):
     return found["table"], labels
 
 
+def _whole_file_decode_error(path) -> str | None:
+    """The message of the UnicodeDecodeError that decoding the whole file at
+    once raises, as Path.read_text does, found by decoding it a chunk of
+    bytes at a time; None if it decodes."""
+    with open(path) as file:  # the encoding of Path.read_text
+        decoder = codecs.getincrementaldecoder(file.encoding)()
+        fed = 0  # bytes given to the decoder so far
+        while True:
+            chunk = file.buffer.read(_CHUNK)
+            held = len(decoder.getstate()[0])  # the undecoded tail of the last chunk
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                start, end = fed - held + exc.start, fed - held + exc.end
+                if end - start == 1:
+                    return (f"'{exc.encoding}' codec can't decode byte "
+                            f"0x{exc.object[exc.start]:02x} in position {start}: {exc.reason}")
+                return (f"'{exc.encoding}' codec can't decode bytes "
+                        f"in position {start}-{end - 1}: {exc.reason}")
+            if not chunk:
+                return None
+            fed += len(chunk)
+
+
 def load_cayley_table(path) -> FiniteGroup:
     """Load and fully validate a Cayley-table JSON file.
 
@@ -788,17 +813,18 @@ def load_cayley_table(path) -> FiniteGroup:
     then those of validate_cayley_table, which gets the rows as one sized
     sequence; a byte that is not valid text is a TableFileError too.
     """
+    undecodable = None
     try:
         with open(path) as file:  # the decoding and newlines of Path.read_text
             table, labels = _read_table_file(_JsonText(file, path))
     except OSError as exc:
         raise TableFileError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
-        try:
-            Path(path).read_text()  # the same error at its offset in the whole file
-        except UnicodeDecodeError as whole:
-            exc = whole
-        raise TableFileError(f"{path} is not valid text: {exc}") from None
+        undecodable = str(exc)  # at its offset in the chunk that held it
+    if undecodable is not None:
+        # past the except clause, its traceback and the rows it holds are freed
+        whole = _whole_file_decode_error(path) or undecodable
+        raise TableFileError(f"{path} is not valid text: {whole}")
     try:
         return validate_cayley_table(table, labels, name=f"table:{path}")
     except (ValueError, TypeError) as exc:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import os
 import random
 from typing import Callable, Iterator, Sequence
@@ -46,10 +45,9 @@ def map_tasks(fn: Callable, tasks: Sequence, workers: int) -> list:
 def derived_rng(seed: int, *context) -> random.Random:
     """Random stream derived stably from (seed, context).
 
-    Uses sha256 rather than hash() so results do not depend on
+    Seeded with the repr of (seed, context), a string, which random hashes
+    with its own sha512 rather than hash(), so results do not depend on
     PYTHONHASHSEED; the same (seed, context) always yields the same stream,
     regardless of worker scheduling.
     """
-    material = repr((seed,) + context).encode("utf-8")
-    digest = hashlib.sha256(material).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+    return random.Random(repr((seed,) + context))

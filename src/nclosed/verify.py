@@ -267,8 +267,8 @@ def cross_check_engine_oracle(seed: int = 0) -> tuple[int, list[dict]]:
 # per-coset and per-subgroup claim batteries
 
 
-def _check_coset(report: closedness.CosetReport,
-                 tallies: dict[str, ClaimTally]) -> None:
+def _check_coset(report: closedness.CosetReport, tallies: dict[str, ClaimTally],
+                 profiles: dict[int, closedness.ClosednessProfile]) -> None:
     a, h = report.rep, report.subgroup
     g, rep = h.owner, a.index
     t = report.least_exponent
@@ -327,13 +327,15 @@ def _check_coset(report: closedness.CosetReport,
         tallies["L2.1"].violations.extend(violations)
         if report.commutes:
             tallies["T2.3"].checked += 1
-            *_, violations = closedness.power_coset_closedness(report, m)
+            *_, violations = closedness.power_coset_closedness(report, m, profiles)
             tallies["T2.3"].violations.extend(violations)
 
 
 def _check_subgroup(h: Subgroup, tallies: dict[str, ClaimTally]) -> None:
     """Both normality verdicts and the coset battery, all reading one
-    analyze_subgroup report, so each left coset is analysed once."""
+    analyze_subgroup report, so each left coset is analysed once; every
+    power coset a^m*H reads its profile from the report, and H's own
+    profile is computed at most once."""
     g = h.owner
     h_labels = h.carrier.labels()
     report = closedness.analyze_subgroup(h)
@@ -364,8 +366,9 @@ def _check_subgroup(h: Subgroup, tallies: dict[str, ClaimTally]) -> None:
             detail=f"classic {verdict.verdict_classic} vs "
                    f"existential {verdict.verdict_via_closedness}"))
 
+    profiles = {coset.coset.mask: coset.profile for coset in report.cosets}
     for coset in report.cosets:
-        _check_coset(coset, tallies)
+        _check_coset(coset, tallies, profiles)
 
 
 def _verify_group_task(g: FiniteGroup) -> dict[str, ClaimTally]:

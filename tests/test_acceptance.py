@@ -19,7 +19,6 @@ from nclosed.closedness import (
     analyze_coset,
     analyze_subgroup,
     closedness_spectrum,
-    extract_subgroup,
     is_n_closed,
     least_closed_scan,
     least_exponent,
@@ -29,12 +28,11 @@ from nclosed.closedness import (
 )
 from nclosed.groups import Element, validate_cayley_table
 from nclosed.normality import normal_iff_existential, normal_iff_index_plus_one
-from nclosed.parsing import parse_group_spec, parse_subset_spec
+from nclosed.parsing import parse_group_spec
 from nclosed.subsets import (
     GSubset,
     Subgroup,
     coset_commutes,
-    is_normal_classic,
     left_cosets,
     proper_subgroups,
     translate_mask_left,
@@ -44,7 +42,6 @@ from nclosed.verify import (
     cross_check_engine_oracle,
     multiplicative_semigroup,
     cor22_coset_checks,
-    run_verification,
     sweep_extraction,
 )
 

@@ -245,8 +245,9 @@ class TestSubprocess:
         assert proc.returncode == 1
 
     def test_row_commands_load_neither_numpy_nor_a_pool(self, tmp_path, s3):
-        # no command loads numpy, and a serial run starts no pool; a
-        # parallel verify is the control that shows the check can fail
+        # no command loads numpy or hashlib (OpenSSL), and a serial run
+        # starts no pool; a parallel verify is the control that shows the
+        # check can fail
         table = tmp_path / "s3.json"
         dump_cayley_table(s3, table)
         script = """
@@ -255,7 +256,7 @@ import nclosed
 from nclosed.cli import main
 
 def heavy():
-    return sorted({"numpy", "concurrent.futures"} & set(sys.modules))
+    return sorted({"numpy", "hashlib", "concurrent.futures"} & set(sys.modules))
 
 assert not heavy(), heavy()
 for argv in (["subgroups", "D30"], ["subgroups", "perm(4): (1 2 3), (2 3 4)"],

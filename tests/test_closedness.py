@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nclosed import closedness
 from nclosed.closedness import (
+    ORACLE_BUDGET,
     ClosednessProfile,
     analyze_coset,
+    analyze_subgroup,
     closedness_profile,
     closedness_spectrum,
     extract_subgroup,
@@ -28,8 +31,15 @@ from nclosed.errors import (
     NotNClosed,
     RepInSubgroup,
 )
-from nclosed.groups import Element, make_named
-from nclosed.subsets import GSubset, Subgroup, is_subgroup, translate_mask_left
+from nclosed.groups import Element
+from nclosed.parsing import parse_group_spec
+from nclosed.subsets import (
+    GSubset,
+    Subgroup,
+    is_subgroup,
+    proper_subgroups,
+    translate_mask_left,
+)
 from nclosed.verify import multiplicative_semigroup
 
 
@@ -43,6 +53,17 @@ def tuple_oracle(struct, ids, n):
         if p not in members:
             return False
     return True
+
+
+def tuple_products(struct, ids, k):
+    """The product of every length-k tuple from ids, folded one at a time."""
+    out = set()
+    for tup in product(ids, repeat=k):
+        p = tup[0]
+        for q in tup[1:]:
+            p = struct.mul(p, q)
+        out.add(p)
+    return out
 
 
 class TestEngine:
@@ -111,6 +132,50 @@ class TestOracle:
         d = GSubset.from_indices(z12, range(12))
         with pytest.raises(BudgetExceeded):
             is_n_closed_oracle(d, 6)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_tuple_by_tuple_reference(self, data, small_corpus):
+        # groups and semigroups, |D| = 1 included, at the budget's edge too
+        struct = data.draw(st.sampled_from(
+            small_corpus + [multiplicative_semigroup(k) for k in (4, 6, 8, 9)]))
+        ids = sorted(data.draw(st.sets(st.integers(0, struct.order - 1),
+                                       min_size=1, max_size=6)))
+        n = data.draw(st.integers(2, 5))
+        tuples = len(ids) ** n
+        budget = data.draw(st.sampled_from((tuples, tuples - 1, ORACLE_BUDGET)))
+        d = GSubset.from_indices(struct, ids)
+        if tuples > budget:
+            with pytest.raises(BudgetExceeded, match=f"{len(ids)}\\^{n} exceeds budget {budget}"):
+                is_n_closed_oracle(d, n, budget)
+        else:
+            assert is_n_closed_oracle(d, n, budget) is tuple_oracle(struct, ids, n)
+
+    @pytest.mark.parametrize("spec", ["S3", "Z2xZ2", "mulZ4", "mulZ6"])
+    def test_matches_reference_on_every_subset(self, spec):
+        struct = (multiplicative_semigroup(int(spec[4:])) if spec.startswith("mul")
+                  else parse_group_spec(spec))
+        for mask in range(1, 1 << struct.order):
+            d = GSubset(struct, mask)
+            for n in range(2, 6):
+                assert is_n_closed_oracle(d, n) is tuple_oracle(struct, d.indices(), n)
+
+    def test_errors(self, z4):
+        with pytest.raises(ValueError):
+            is_n_closed_oracle(GSubset.from_indices(z4, [1]), 1)
+        with pytest.raises(EmptySubset):
+            is_n_closed_oracle(GSubset(z4, 0), 3)
+
+    def test_calls_no_engine_code(self, z12, monkeypatch):
+        def engine(*args):
+            raise AssertionError("the oracle reached the engine")
+
+        for name in ("closedness_profile", "translate_mask_left", "translate_mask_right",
+                     "is_n_closed", "analyze_coset", "analyze_subgroup", "iter_bits"):
+            monkeypatch.setattr(closedness, name, engine)
+        d = GSubset.from_indices(z12, [0, 4, 8])
+        assert is_n_closed_oracle(d, 5) is True
+        assert is_n_closed_oracle(GSubset.from_indices(z12, [1, 5]), 3) is False
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
@@ -384,6 +449,24 @@ class TestPowerCoset:
         assert k == 4
         assert violations == ()
 
+    @pytest.mark.parametrize("spec", ["S4", "D6", "Z12", "Q8"])
+    def test_report_profiles_give_the_same_result(self, spec, monkeypatch):
+        g = parse_group_spec(spec)
+        real = closedness.closedness_profile
+        for h in proper_subgroups(g):
+            report = analyze_subgroup(h)
+            cases = [(r, m) for r in report.cosets if r.commutes
+                     for m in range(1, 2 * r.least_exponent + 3)]
+            computed = [power_coset_closedness(r, m) for r, m in cases]
+            profiles = {c.coset.mask: c.profile for c in report.cosets}
+            profiled = []  # the subsets profiled while the report's are read
+            monkeypatch.setattr(closedness, "closedness_profile",
+                                lambda d: profiled.append(d.mask) or real(d))
+            assert [power_coset_closedness(r, m, profiles) for r, m in cases] == computed
+            monkeypatch.undo()
+            # a^m*H is H or a coset in the report: only H is ever profiled, once
+            assert profiled in ([], [h.mask])
+
     def test_non_commuting_rejected(self, s3):
         h = Subgroup.from_labels(s3, ["e", "(1 2)"])
         with pytest.raises(NonCommutingCoset):
@@ -460,6 +543,21 @@ class TestSemigroupShift:
         assert sorted(shifts) == [1, 3]
         for shifted, ok in shifts.values():
             assert shifted.indices() == [0, 2] and ok
+
+    @pytest.mark.parametrize("k", [4, 6, 8, 9])
+    def test_same_mapping_as_one_decision_per_prefix(self, k):
+        struct = multiplicative_semigroup(k)
+        for mask in range(1, 1 << k):
+            d = GSubset(struct, mask)
+            least = closedness_profile(d).least
+            if least is None:
+                continue
+            n = max(least, 3)
+            expected = {}
+            for p in tuple_products(struct, d.indices(), n - 2):
+                shifted = GSubset.from_indices(struct, {struct.mul(p, x) for x in d.indices()})
+                expected[p] = (shifted, is_n_closed(shifted, 2))
+            assert semigroup_shift_2closed(d, n) == expected
 
     def test_not_n_closed_rejected(self):
         m6 = multiplicative_semigroup(6)

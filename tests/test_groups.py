@@ -1,6 +1,6 @@
 import json
 from array import array
-from itertools import permutations, product
+from itertools import permutations
 from pathlib import Path
 from unittest import mock
 
@@ -728,6 +728,22 @@ class TestTableReader:
         with pytest.raises(UnicodeDecodeError) as whole:
             path.read_text()
         assert read_table(path, 64) == (
+            TableFileError, f"{path} is not valid text: {whole.value}")
+
+    @pytest.mark.parametrize("bad", [b"\xff}", b"\xe2\x82A}", b"\xf0\x9f\x98}", b"\xe2\x82"])
+    @pytest.mark.parametrize("chunk", [4093, 1 << 20])
+    def test_undecodable_byte_past_the_first_chunk_after_multibyte_text(
+            self, tmp_path, bad, chunk):
+        # over 2^20 characters of two- to four-byte text come first, so the
+        # offset in bytes is not the offset in characters
+        path = tmp_path / "t.json"
+        head = json.dumps({"labels": ["é", "€"], "note": "😀€é" * 300_000,
+                           "table": [[0, 1], [1, 0]]}, ensure_ascii=False)
+        path.write_bytes(head[:-1].encode() + b", " + bad)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            path.read_text()
+        assert whole.value.start > 2 * (1 << 20)
+        assert read_table(path, chunk) == (
             TableFileError, f"{path} is not valid text: {whole.value}")
 
     @pytest.mark.parametrize("head", [b'{"table": [[0,]] ', b'{"table" [[0]] ',

@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 from collections import Counter
+from dataclasses import replace
 from math import gcd
 from pathlib import Path
 
@@ -223,9 +224,14 @@ class TestSweeps:
             # the shift sets are keyed by D^(n-2), built here with plain sets
             expected = products(struct, d.indices(), n - 2)
             assert set(shifts) == expected
-            # D once, then one decision per prefix product p
-            assert made.count((d.mask, n)) == 1
-            assert len(made) - 1 == len(expected)
+            # D once, then one decision per distinct shift set p*D
+            shift_sets = {p: {struct.mul(p, x) for x in d.indices()} for p in expected}
+            distinct = {sum(1 << x for x in shift) for shift in shift_sets.values()}
+            assert made[0] == (d.mask, n)
+            assert sorted(made[1:]) == sorted((mask, 2) for mask in distinct)
+            for p, (shifted, ok) in shifts.items():
+                assert set(shifted.indices()) == shift_sets[p]
+                assert ok is real_decide(shifted, 2)
 
     def test_cross_checks_meet_quota(self):
         count, violations = cross_check_engine_oracle(seed=0)
@@ -330,6 +336,32 @@ class TestMutationDetection:
                 assert cert["least_exponent"] == t + 1
                 formula, truth = replay_formula_certificate(cert)
                 assert formula != truth, cert["detail"]
+
+    def test_wrong_power_coset_profile_in_the_report_fires_t23(self, monkeypatch, capsys):
+        # T2.3 reads each power coset's profile from the subgroup's report,
+        # so a report whose profiles are wrong must fail it
+        real = closedness.analyze_coset
+        never = closedness.ClosednessProfile(start=2, period=1, closed=())
+        monkeypatch.setattr(closedness, "analyze_coset",
+                            lambda a, h: replace(real(a, h), profile=never))
+        code = main(["verify", "--corpus", "Z9", "--jobs", "1", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        monkeypatch.undo()
+        assert code == 2
+        certs = payload["claims"]["T2.3"]["violations"]
+        for kind in ("engine found None", "f = b*c + 1 pattern"):
+            assert any(c["detail"].startswith(kind) for c in certs), kind
+        from nclosed.subsets import GSubset
+        for cert in certs:
+            # the formula was right and the report was not: the real engine,
+            # run on the certificate's own table, agrees with the formula
+            formula, truth = replay_formula_certificate(cert)
+            assert formula == truth, cert["detail"]
+            g = validate_cayley_table(cert["table"], cert["labels"])
+            profile = closedness.closedness_profile(GSubset.from_labels(g, cert["subset"]))
+            c = cert["least_exponent"] // gcd(cert["m"], cert["least_exponent"])
+            assert profile.least == c + 1
+            assert profile.is_closed(cert["n"]) is ((cert["n"] - 1) % c == 0)
 
     def test_wrong_profile_makes_coset_exit_2_with_certificates_on_stdout(
             self, monkeypatch, capsys):
