@@ -134,8 +134,14 @@ def n_closed_witness(d: GSubset, n: int) -> list[int] | None:
     struct = d.owner
     dmask = d.mask
     dids = d.indices()
+    # layer k maps each product of k + 1 factors to the (prefix product,
+    # last factor) that first reached it, in the order reached; each layer
+    # follows from the one before, so once a layer repeats exactly, every
+    # deeper layer is read through that cycle instead of being built
     layers: list[dict[int, tuple[int, int] | None]] = [{i: None for i in dids}]
-    for _ in range(n - 1):
+    seen: dict[tuple, int] = {}
+    cycle_start = 0
+    while len(layers) < n:
         new: dict[int, tuple[int, int]] = {}
         for p in layers[-1]:
             row = struct.row(p)
@@ -143,14 +149,23 @@ def n_closed_witness(d: GSubset, n: int) -> list[int] | None:
                 r = row[q]
                 if r not in new:
                     new[r] = (p, q)
+        cycle_start = seen.setdefault(tuple(new.items()), len(layers))
+        if cycle_start < len(layers):
+            break
         layers.append(new)
-    bad = next((r for r in sorted(layers[-1]) if not dmask >> r & 1), None)
+
+    def layer(k: int) -> dict:
+        if k >= len(layers):
+            k = cycle_start + (k - cycle_start) % (len(layers) - cycle_start)
+        return layers[k]
+
+    bad = next((r for r in sorted(layer(n - 1)) if not dmask >> r & 1), None)
     if bad is None:
         return None
     path = []
     cur = bad
     for depth in range(n - 1, 0, -1):
-        prev, last = layers[depth][cur]  # type: ignore[misc]
+        prev, last = layer(depth)[cur]  # type: ignore[misc]
         path.append(last)
         cur = prev
     path.append(cur)
@@ -481,28 +496,3 @@ def extract_subgroup(d: GSubset, n: int) -> SubgroupExtraction:
         coset_rep=Element(g, b),
         violations=tuple(violations),
     )
-
-
-def semigroup_shift_2closed(d: GSubset, n: int) -> dict[int, tuple[GSubset, bool]]:
-    """Shift an n-closed semigroup subset by every prefix product p in
-    D^(n-2); map each p to its shift set p*D and that set's 2-closedness.
-
-    D's n-closedness is decided once, and each distinct shift set once,
-    however many p give it. A False second component would contradict the
-    shift-set theorem and is treated as a violation by callers.
-    """
-    if n < 3:
-        raise ValueError(f"shift requires n >= 3, got {n}")
-    _require_nonempty(d)
-    if not is_n_closed(d, n):
-        raise NotNClosed(f"subset is not {n}-closed")
-    struct = d.owner
-    decided: dict[int, tuple[GSubset, bool]] = {}
-    shifts = {}
-    for p in _prefix_products(struct, d.mask, n - 2):
-        mask = translate_mask_left(struct, p, d.mask)
-        if mask not in decided:
-            shifted = GSubset(struct, mask)
-            decided[mask] = (shifted, is_n_closed(shifted, 2))
-        shifts[p] = decided[mask]
-    return shifts

@@ -380,9 +380,9 @@ def validate_semigroup_table(table, labels=None, name="semigroup") -> FiniteSemi
     """Check closure and associativity exactly; return the semigroup.
 
     Associativity is decided by Light's test on a greedy generating set
-    (see _light_witness), which may need up to order generators here;
-    raises NotClosed, NotAssociative (with a witness triple) or
-    DuplicateLabel.
+    (see _light_witness), which may need up to order generators here.
+    After the shape and type checks, raises DuplicateLabel, NotClosed or
+    NotAssociative (with a witness triple), checked in that order.
     """
     rows, labels = _checked_rows(table, labels)
     witness = _light_witness(rows)
@@ -394,11 +394,11 @@ def validate_semigroup_table(table, labels=None, name="semigroup") -> FiniteSemi
 def validate_cayley_table(table, labels=None, name="group") -> FiniteGroup:
     """Check all group axioms exactly and locate the identity and inverses.
 
-    Raises NotClosed, NotAssociative (with witness triple), NoIdentity,
-    NoInverse (with witness element), or DuplicateLabel, checked in that
-    order, except that Light's test tries at most ceil(log2 order) + 1
-    generators before the identity and inverses are checked: a group never
-    needs more. So NotAssociative is reported when a failing triple is
+    After the shape and type checks, raises DuplicateLabel, NotClosed,
+    NotAssociative (with witness triple), NoIdentity or NoInverse (with
+    witness element), checked in that order, except that Light's test
+    tries at most ceil(log2 order) + 1 generators before the identity and
+    inverses are checked: a group never needs more. So NotAssociative is reported when a failing triple is
     found within that bound, and a table that needs more generators gets
     NoIdentity or NoInverse, even if it is also not associative. Every
     table is checked in O(order^2 log order).

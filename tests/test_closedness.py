@@ -1,3 +1,4 @@
+import random
 from itertools import product
 from math import gcd
 
@@ -20,8 +21,8 @@ from nclosed.closedness import (
     least_exponent,
     least_power_exponent,
     n_closed_witness,
+    make_certificate,
     power_coset_closedness,
-    semigroup_shift_2closed,
 )
 from nclosed.errors import (
     AlreadyClosed,
@@ -35,12 +36,17 @@ from nclosed.groups import Element
 from nclosed.parsing import parse_group_spec
 from nclosed.subsets import (
     GSubset,
+    generated_subgroup,
     Subgroup,
     is_subgroup,
     proper_subgroups,
     translate_mask_left,
 )
-from nclosed.verify import multiplicative_semigroup
+from nclosed.verify import (
+    SEMIGROUP_SCAN_MAX,
+    multiplicative_semigroup,
+    sweep_semigroup_shifts,
+)
 
 
 def tuple_oracle(struct, ids, n):
@@ -114,6 +120,77 @@ class TestEngine:
                 continue
             for n in range(3, 9):
                 assert is_n_closed(d, n), (d.labels(), n)
+
+
+def reference_witnesses(d, n_max):
+    """n_closed_witness(d, n) for every n in [2, n_max] by the direct
+    method: build all n - 1 product layers and walk back from the least
+    escaping product of the last. The layers do not depend on n, so one
+    pass serves every n."""
+    struct = d.owner
+    dmask = d.mask
+    dids = d.indices()
+    layers = [{i: None for i in dids}]
+    witnesses = {}
+    for n in range(2, n_max + 1):
+        new = {}
+        for p in layers[-1]:
+            row = struct.row(p)
+            for q in dids:
+                r = row[q]
+                if r not in new:
+                    new[r] = (p, q)
+        layers.append(new)
+        bad = next((r for r in sorted(layers[-1]) if not dmask >> r & 1), None)
+        if bad is None:
+            witnesses[n] = None
+            continue
+        path = []
+        cur = bad
+        for depth in range(n - 1, 0, -1):
+            prev, last = layers[depth][cur]
+            path.append(last)
+            cur = prev
+        path.append(cur)
+        path.reverse()
+        witnesses[n] = path
+    return witnesses
+
+
+class TestWitness:
+    @pytest.mark.parametrize("spec", ["Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6", "S3",
+                                      "Z7", "Z8", "Z2xZ4", "Z2xZ2xZ2", "D4", "Q8",
+                                      "Z9", "Z3xZ3"])
+    def test_matches_direct_layers_on_every_subset(self, spec):
+        g = parse_group_spec(spec)
+        for mask in range(1, 1 << g.order):
+            d = GSubset(g, mask)
+            ref = reference_witnesses(d, 40)
+            for n in range(2, 41):
+                assert n_closed_witness(d, n) == ref[n], (spec, d.labels(), n)
+
+    @pytest.mark.parametrize("spec, ns", [("S4", (41, 64, 97)), ("D12", (41, 64, 97)),
+                                          ("D30", (41, 75)), ("S5", (41, 50))])
+    def test_matches_direct_layers_at_larger_n(self, spec, ns):
+        g = parse_group_spec(spec)
+        rng = random.Random(spec)
+        masks = []
+        for _ in range(3):
+            masks.append(rng.randrange(1, 1 << g.order))
+            # a coset of a cyclic subgroup, n-closed for some n when it commutes
+            h = generated_subgroup([Element(g, rng.randrange(g.order))])
+            masks.append(translate_mask_left(g, rng.randrange(g.order), h.mask))
+        for mask in masks:
+            d = GSubset(g, mask)
+            ref = reference_witnesses(d, max(ns))
+            for n in ns:
+                assert n_closed_witness(d, n) == ref[n], (spec, d.labels(), n)
+
+    def test_deep_layers_read_through_the_cycle(self, z4):
+        # {1} in Z4 is n-closed exactly when n = 1 mod 4
+        d = GSubset.from_indices(z4, [1])
+        assert n_closed_witness(d, 100_001) is None
+        assert n_closed_witness(d, 100_002) == [1] * 100_002
 
 
 class TestOracle:
@@ -525,46 +602,60 @@ class TestExtraction:
                     assert is_subgroup(ext.subgroup.carrier)
 
 
+def set_products(struct, ids, k):
+    """The products of k factors from ids, one factor at a time on sets."""
+    out = set(ids)
+    for _ in range(k - 1):
+        out = {struct.mul(p, q) for p in out for q in ids}
+    return out
+
+
+def shift_sets(d, n):
+    """Each p in D^(n-2) mapped to its shift set p*D."""
+    struct = d.owner
+    return {p: GSubset(struct, translate_mask_left(struct, p, d.mask))
+            for p in tuple_products(struct, d.indices(), n - 2)}
+
+
 class TestSemigroupShift:
     def test_mult_z6_fixture(self):
         m6 = multiplicative_semigroup(6)
         d = GSubset.from_labels(m6, ["3", "5"])
         assert is_n_closed(d, 3) and not is_n_closed(d, 2)
-        shifts = semigroup_shift_2closed(d, 3)
+        shifts = shift_sets(d, 3)
         assert sorted(shifts) == [3, 5]
-        shifted, ok = shifts[3]
-        assert shifted.labels() == ["3"] and ok
-        shifted, ok = shifts[5]
-        assert shifted.labels() == ["1", "3"] and ok
+        assert shifts[3].labels() == ["3"] and is_n_closed(shifts[3], 2)
+        assert shifts[5].labels() == ["1", "3"] and is_n_closed(shifts[5], 2)
 
     def test_group_case_matches_extraction(self, z4):
         d = GSubset.from_indices(z4, [1, 3])
-        shifts = semigroup_shift_2closed(d, 3)
+        shifts = shift_sets(d, 3)
         assert sorted(shifts) == [1, 3]
-        for shifted, ok in shifts.values():
-            assert shifted.indices() == [0, 2] and ok
+        for shifted in shifts.values():
+            assert shifted.indices() == [0, 2] and is_n_closed(shifted, 2)
 
     @pytest.mark.parametrize("k", [4, 6, 8, 9])
     def test_same_mapping_as_one_decision_per_prefix(self, k):
+        """The C2.1 sweep's (checked, violations) against one plain-set
+        decision per prefix product p of every n-closed D."""
         struct = multiplicative_semigroup(k)
+        checked, violations = 0, []
         for mask in range(1, 1 << k):
-            d = GSubset(struct, mask)
-            least = closedness_profile(d).least
+            ids = GSubset(struct, mask).indices()
+            least = next((n for n in range(2, SEMIGROUP_SCAN_MAX + 1)
+                          if set_products(struct, ids, n) <= set(ids)), None)
             if least is None:
                 continue
             n = max(least, 3)
-            expected = {}
-            for p in tuple_products(struct, d.indices(), n - 2):
-                shifted = GSubset.from_indices(struct, {struct.mul(p, x) for x in d.indices()})
-                expected[p] = (shifted, is_n_closed(shifted, 2))
-            assert semigroup_shift_2closed(d, n) == expected
-
-    def test_not_n_closed_rejected(self):
-        m6 = multiplicative_semigroup(6)
-        d = GSubset.from_labels(m6, ["2", "5"])
-        if not is_n_closed(d, 3):
-            with pytest.raises(NotNClosed):
-                semigroup_shift_2closed(d, 3)
+            checked += len(ids) ** (n - 2)
+            for p in sorted(set_products(struct, ids, n - 2)):
+                shifted = {struct.mul(p, x) for x in ids}
+                if not set_products(struct, shifted, 2) <= shifted:
+                    violations.append(make_certificate(
+                        struct, "C2.1", subset=[struct.labels[x] for x in ids],
+                        n=n, witness=struct.labels[p],
+                        detail="shift set p*D is not 2-closed"))
+        assert sweep_semigroup_shifts(struct) == (checked, violations)
 
 
 class TestCosetMembershipPattern:

@@ -121,6 +121,26 @@ class TestValidation:
         with pytest.raises(DuplicateLabel):
             validate_cayley_table(cyclic_table(2), labels=["a", "a"])
 
+    @pytest.mark.parametrize("validate", [validate_cayley_table,
+                                          validate_semigroup_table])
+    def test_duplicate_label_after_shape_and_type_before_the_axioms(self, validate):
+        dup = ["a", "a"]
+        # an out-of-range entry alone is NotClosed, a non-associative table
+        # NotAssociative; duplicate labels win over both
+        with pytest.raises(DuplicateLabel):
+            validate([[0, 5], [1, 0]], labels=dup)
+        with pytest.raises(DuplicateLabel):
+            validate([[1, 0], [0, 0]], labels=dup)
+        # a non-integer entry or a ragged table is reported first
+        with pytest.raises(ValueError, match="integers"):
+            validate([[0, 1.0], [1, 0]], labels=dup)
+        with pytest.raises(ValueError, match="square"):
+            validate([[0, 1], [1]], labels=dup)
+        with pytest.raises(NotClosed):
+            validate([[0, 5], [1, 0]])
+        with pytest.raises(NotAssociative):
+            validate([[1, 0], [0, 0]])
+
     def test_not_associative_with_witness(self):
         table = [[1, 0], [0, 0]]
         with pytest.raises(NotAssociative) as exc:

@@ -11,7 +11,7 @@ import pytest
 from nclosed import closedness, util, verify
 from nclosed.cli import main
 from nclosed.errors import GroupTooLargeForScan
-from nclosed.groups import validate_cayley_table
+from nclosed.groups import FiniteGroup, validate_cayley_table
 from nclosed.parsing import parse_group_spec
 from nclosed.subsets import left_cosets, proper_subgroups
 from nclosed.verify import (
@@ -34,6 +34,28 @@ def products(struct, ids, k):
 
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
+
+
+class Flipped2Closedness(closedness.ClosednessProfile):
+    """A profile whose 2-closedness verdict is wrong; least is kept."""
+
+    def is_closed(self, n):
+        return super().is_closed(n) != (n == 2)
+
+
+def flip_semigroup_2closedness(monkeypatch):
+    """Make the engine wrong about the 2-closedness of every semigroup
+    subset, the verdict the C2.1 sweep reads for each shift set; group
+    subsets are profiled as before."""
+    real = closedness.closedness_profile
+
+    def profile(d):
+        p = real(d)
+        if isinstance(d.owner, FiniteGroup):
+            return p
+        return Flipped2Closedness(p.start, p.period, p.closed)
+
+    monkeypatch.setattr(closedness, "closedness_profile", profile)
 
 
 def is_closed_by_sets(struct, ids, n):
@@ -197,41 +219,24 @@ class TestSweeps:
         assert violations == []
 
     def test_semigroup_sweep_decides_each_d_and_shift_set_once(self, monkeypatch):
+        """Every nonempty subset, so every D and every shift set p*D, is
+        profiled exactly once, and is_n_closed is never called."""
         struct = multiplicative_semigroup(8)
-        real_decide = closedness.is_n_closed
-        real_shift = closedness.semigroup_shift_2closed
-        decided = []  # (mask, n) of every engine decision, in order
-        calls = []  # (D, n, shift sets, decisions made) per shift call
+        real_profile = closedness.closedness_profile
+        profiled = Counter()
+
+        def profiling(d):
+            profiled[d.mask] += 1
+            return real_profile(d)
 
         def deciding(d, n):
-            decided.append((d.mask, n))
-            return real_decide(d, n)
+            raise AssertionError(f"is_n_closed called on {d.labels()} at n={n}")
 
-        def shifting(d, n):
-            start = len(decided)
-            out = real_shift(d, n)
-            calls.append((d, n, out, decided[start:]))
-            return out
-
+        monkeypatch.setattr(closedness, "closedness_profile", profiling)
         monkeypatch.setattr(closedness, "is_n_closed", deciding)
-        monkeypatch.setattr(closedness, "semigroup_shift_2closed", shifting)
         checked, violations = sweep_semigroup_shifts(struct)
-        assert violations == [] and checked > len(calls) > 0
-        per_d = Counter((d.mask, n) for d, n, _, _ in calls)
-        assert set(per_d.values()) == {1}, "one shift call per (D, n)"
-        assert checked == sum(d.size ** (n - 2) for d, n, _, _ in calls)
-        for d, n, shifts, made in calls:
-            # the shift sets are keyed by D^(n-2), built here with plain sets
-            expected = products(struct, d.indices(), n - 2)
-            assert set(shifts) == expected
-            # D once, then one decision per distinct shift set p*D
-            shift_sets = {p: {struct.mul(p, x) for x in d.indices()} for p in expected}
-            distinct = {sum(1 << x for x in shift) for shift in shift_sets.values()}
-            assert made[0] == (d.mask, n)
-            assert sorted(made[1:]) == sorted((mask, 2) for mask in distinct)
-            for p, (shifted, ok) in shifts.items():
-                assert set(shifted.indices()) == shift_sets[p]
-                assert ok is real_decide(shifted, 2)
+        assert violations == [] and checked > 0
+        assert profiled == Counter(range(1, 1 << struct.order))
 
     def test_cross_checks_meet_quota(self):
         count, violations = cross_check_engine_oracle(seed=0)
@@ -273,7 +278,7 @@ class TestMutationDetection:
         payloads = []
         # at --jobs 2 the sweep runs in a forked worker, which inherits the fault
         for jobs in ("1", "2"):
-            monkeypatch.setattr(closedness, "is_n_closed", lambda d, n: not real(d, n))
+            flip_semigroup_2closedness(monkeypatch)
             code = main(["verify", "--corpus", "S3", "--jobs", jobs, "--format", "json"])
             payloads.append(json.loads(capsys.readouterr().out))
             monkeypatch.undo()
@@ -395,9 +400,7 @@ class TestMutationDetection:
                 assert cert["detail"] == "engine True but step predicate False"
 
     def test_flipped_shift_set_closedness_fires_c21(self, monkeypatch, capsys):
-        real = closedness.semigroup_shift_2closed
-        monkeypatch.setattr(closedness, "semigroup_shift_2closed", lambda d, n: {
-            p: (shifted, not ok) for p, (shifted, ok) in real(d, n).items()})
+        flip_semigroup_2closedness(monkeypatch)
         code = main(["verify", "--corpus", "Z2", "--jobs", "1", "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         monkeypatch.undo()
