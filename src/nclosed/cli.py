@@ -28,6 +28,10 @@ from .util import available_cpus
 from .verify import DEFAULT_CORPUS, run_verification
 
 
+# check prints a witness of n labels, so its output and memory grow with n
+CHECK_N_CAP = 1_000_000
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep argparse from exiting with its own code
         raise UsageError(message)
@@ -99,6 +103,8 @@ def cmd_subgroups(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.n > CHECK_N_CAP:
+        raise UsageError(f"--n caps at {CHECK_N_CAP}, got {args.n}")
     g = parse_group_spec(args.group)
     d = parse_subset_spec(args.subset, g)
     if args.n < 2:
@@ -253,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("group")
     p.add_argument("--subset", required=True,
                    help="comma-separated element labels")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help=f"the n to decide, 2 to {CHECK_N_CAP}")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("coset", parents=[common],

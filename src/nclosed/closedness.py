@@ -18,9 +18,9 @@ failure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from math import gcd
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import (
     AlreadyClosed,
@@ -66,8 +66,7 @@ def _require_nonempty(d: GSubset) -> None:
         raise EmptySubset("closedness is undefined for the empty subset")
 
 
-@dataclass(frozen=True)
-class ClosednessProfile:
+class ClosednessProfile(NamedTuple):
     """Every n >= 2 for which D is n-closed: closed lists those below
     start + period, and from start on only (n - start) mod period matters."""
 
@@ -226,8 +225,7 @@ def least_exponent(a: Element, h: Subgroup) -> int:
     return t
 
 
-@dataclass(frozen=True)
-class CosetReport:
+class CosetReport(NamedTuple):
     """Full analysis of one left coset L = a*H, read by every coset check."""
 
     rep: Element
@@ -303,8 +301,7 @@ def analyze_coset(a: Element, h: Subgroup) -> CosetReport:
     )
 
 
-@dataclass(frozen=True)
-class SubgroupReport:
+class SubgroupReport(NamedTuple):
     """Every left coset a*H other than H, each analysed once."""
 
     subgroup: Subgroup
@@ -326,8 +323,7 @@ def analyze_subgroup(h: Subgroup) -> SubgroupReport:
         for rep in left_cosets(h).representatives if rep not in h))
 
 
-@dataclass(frozen=True)
-class SpectrumDescription:
+class SpectrumDescription(NamedTuple):
     """All m for which a commuting coset is m-closed: {c*step + 1 : c >= 1}."""
 
     step: int
@@ -357,7 +353,7 @@ def closedness_spectrum(report: CosetReport, verify_up_to: int = 20) -> Spectrum
                 h.owner, "spectrum", subgroup=h.carrier.labels(), rep=a.label,
                 subset=report.coset.labels(), n=m, least_exponent=t,
                 detail=f"engine {engine} but step predicate {not engine}"))
-    return replace(spectrum, violations=tuple(violations))
+    return spectrum._replace(violations=tuple(violations))
 
 
 def least_power_exponent(report: CosetReport, m: int) -> tuple[int, tuple[dict, ...]]:
@@ -440,8 +436,7 @@ def power_coset_closedness(report: CosetReport, m: int,
 # subgroup extraction
 
 
-@dataclass(frozen=True)
-class SubgroupExtraction:
+class SubgroupExtraction(NamedTuple):
     """Witness data recovering the subgroup behind an n-closed subset."""
 
     source: GSubset

@@ -23,7 +23,6 @@ import codecs
 import json
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import gcd
@@ -137,20 +136,27 @@ def same_structure(*objs) -> None:
                 f"operands belong to different structures ({first!r} vs {other!r})")
 
 
-@dataclass(frozen=True)
 class Element:
     """One element of a specific group or semigroup, by index."""
 
-    owner: FiniteSemigroup
-    index: int
+    __slots__ = ("owner", "index")
 
-    def __post_init__(self):
-        if not 0 <= self.index < self.owner.order:
-            raise ValueError(f"index {self.index} out of range for {self.owner!r}")
+    def __init__(self, owner: FiniteSemigroup, index: int):
+        if not 0 <= index < owner.order:
+            raise ValueError(f"index {index} out of range for {owner!r}")
+        self.owner = owner
+        self.index = index
 
     @property
     def label(self) -> str:
         return self.owner.labels[self.index]
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Element) and other.owner is self.owner
+                and other.index == self.index)
+
+    def __hash__(self) -> int:
+        return hash((id(self.owner), self.index))
 
     def __repr__(self):
         return f"<{self.label} in {self.owner.name}>"

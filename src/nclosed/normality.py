@@ -12,23 +12,20 @@ known-equivalent predicate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import closedness
 from .closedness import CosetReport, SubgroupReport
 from .subsets import Subgroup, is_normal_classic
 
 
-@dataclass(frozen=True)
-class CosetCheck:
+class CosetCheck(NamedTuple):
     rep: int
     closedness_checked: int | None
     passed: bool
 
 
-@dataclass(frozen=True)
-class NormalityVerdict:
+class NormalityVerdict(NamedTuple):
     subgroup: Subgroup
     index: int
     verdict_classic: bool

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import closedness
 from .errors import GroupTooLargeForScan
@@ -16,16 +16,14 @@ SCAN_ORDER_CAP = 14
 _POOL_THRESHOLD = 1 << 12
 
 
-@dataclass(frozen=True)
-class ScanEntry:
+class ScanEntry(NamedTuple):
     mask: int
     least_closedness: int | None
     subgroup_mask: int | None
     rep: int | None
 
 
-@dataclass
-class ScanReport:
+class ScanReport(NamedTuple):
     group: str
     order: int
     labels: tuple[str, ...]

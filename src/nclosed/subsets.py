@@ -7,8 +7,7 @@ immutable after construction and pure, so sweeps can run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import UnknownLabel
 from .groups import Element, FiniteGroup, FiniteSemigroup, same_structure
@@ -75,11 +74,13 @@ class GSubset:
         return "{" + ", ".join(self.labels()) + "}"
 
 
-@dataclass(frozen=True)
 class Subgroup:
     """A subgroup's carrier; from_indices and from_labels check is_subgroup."""
 
-    carrier: GSubset
+    __slots__ = ("carrier",)
+
+    def __init__(self, carrier: GSubset):
+        self.carrier = carrier
 
     @classmethod
     def from_indices(cls, owner: FiniteGroup, indices: Iterable[int]) -> "Subgroup":
@@ -110,12 +111,17 @@ class Subgroup:
     def __contains__(self, item) -> bool:
         return item in self.carrier
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Subgroup) and other.carrier == self.carrier
+
+    def __hash__(self) -> int:
+        return hash(self.carrier)
+
     def __repr__(self):
         return f"Subgroup{self.carrier!r}"
 
 
-@dataclass(frozen=True)
-class CosetPartition:
+class CosetPartition(NamedTuple):
     """All left cosets of a subgroup, representatives at least index."""
 
     cosets: tuple[GSubset, ...]

@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import time
 from array import array
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import closedness, normality
 from .errors import AlreadyClosed, GroupTooLargeForScan, NotNClosed
@@ -59,14 +59,22 @@ CLAIMS: dict[str, str] = {
 }
 
 
-@dataclass
 class ClaimTally:
-    checked: int = 0
-    violations: list[dict] = field(default_factory=list)
+    __slots__ = ("checked", "violations")
+
+    def __init__(self, checked: int = 0, violations: list[dict] | None = None):
+        self.checked = checked
+        self.violations = [] if violations is None else violations
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, ClaimTally) and other.checked == self.checked
+                and other.violations == self.violations)
+
+    def __repr__(self):
+        return f"ClaimTally(checked={self.checked!r}, violations={self.violations!r})"
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     corpus: tuple[str, ...]
     seed: int
     claims: dict[str, ClaimTally]

@@ -44,6 +44,24 @@ class TestCheck:
         assert payload["closed"] is False
         assert payload["witness"] is not None
 
+    def test_n_above_the_cap_is_input_error_before_any_group(self, capsys, monkeypatch):
+        from nclosed import cli
+
+        def no_group(spec):
+            raise AssertionError(f"group {spec} built")
+        monkeypatch.setattr(cli, "parse_group_spec", no_group)
+        code, out, err = run_cli(capsys, "check", "S6", "--subset", "()",
+                                 "--n", str(cli.CHECK_N_CAP + 1))
+        assert code == 1 and out == ""
+        assert f"--n caps at {cli.CHECK_N_CAP}, got {cli.CHECK_N_CAP + 1}" in err
+
+    def test_n_below_the_cap_prints_a_witness_of_n_labels(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "S3", "--subset", "(1 3),(1 2 3)",
+                               "--n", "7", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["closed"] is False and len(payload["witness"]) == 7
+
 
 class TestCoset:
     def test_z9(self, capsys):
@@ -245,9 +263,9 @@ class TestSubprocess:
         assert proc.returncode == 1
 
     def test_row_commands_load_neither_numpy_nor_a_pool(self, tmp_path, s3):
-        # no command loads numpy or hashlib (OpenSSL), and a serial run
-        # starts no pool; a parallel verify is the control that shows the
-        # check can fail
+        # no command loads numpy, hashlib (OpenSSL) or dataclasses, and a
+        # serial run starts no pool; a parallel verify is the control that
+        # shows the check can fail
         table = tmp_path / "s3.json"
         dump_cayley_table(s3, table)
         script = """
@@ -256,7 +274,8 @@ import nclosed
 from nclosed.cli import main
 
 def heavy():
-    return sorted({"numpy", "hashlib", "concurrent.futures"} & set(sys.modules))
+    return sorted({"numpy", "hashlib", "dataclasses", "concurrent.futures"}
+                  & set(sys.modules))
 
 assert not heavy(), heavy()
 for argv in (["subgroups", "D30"], ["subgroups", "perm(4): (1 2 3), (2 3 4)"],

@@ -683,3 +683,102 @@ class TestCosetMembershipPattern:
                     coset = GSubset(g, translate_mask_left(g, rep, h.mask))
                     for b in coset.indices():
                         assert least_exponent(Element(g, b), h) == t
+
+
+class TestRecords:
+    """The result records keep their fields, defaults, repr, equality and
+    pickling: NamedTuples for the immutable ones, slotted classes for
+    Element, Subgroup and ClaimTally."""
+
+    RECORDS = {
+        "closedness.ClosednessProfile": "start period closed",
+        "closedness.CosetReport":
+            "rep subgroup coset commutes least_exponent profile violations=()",
+        "closedness.SubgroupReport": "subgroup cosets",
+        "closedness.SpectrumDescription": "step offset verified_up_to violations=()",
+        "closedness.SubgroupExtraction": "source n subgroup coset_rep violations=()",
+        "normality.CosetCheck": "rep closedness_checked passed",
+        "normality.NormalityVerdict": "subgroup index verdict_classic "
+            "verdict_via_closedness per_coset agreement violations=()",
+        "scan.ScanEntry": "mask least_closedness subgroup_mask rep",
+        "scan.ScanReport": "group order labels seed entries violations",
+        "subsets.CosetPartition": "cosets representatives",
+        "verify.VerificationReport": "corpus seed claims cross_checks "
+            "cross_violations semigroup_fixtures elapsed_seconds",
+        "groups.Element": "owner index",
+        "subsets.Subgroup": "carrier",
+    }
+
+    @staticmethod
+    def record(path):
+        import importlib
+        module, name = path.split(".")
+        return getattr(importlib.import_module(f"nclosed.{module}"), name)
+
+    @pytest.mark.parametrize("path", sorted(RECORDS))
+    def test_fields_in_order_with_defaults(self, path):
+        import inspect
+        cls = self.record(path)
+        params = inspect.signature(cls).parameters.values()
+        assert " ".join(p.name if p.default is inspect.Parameter.empty
+                        else f"{p.name}={p.default!r}"
+                        for p in params) == self.RECORDS[path]
+        if path in ("groups.Element", "subsets.Subgroup"):
+            return
+        rec = cls(*(None for _ in params))
+        with pytest.raises(AttributeError):
+            setattr(rec, cls._fields[0], 1)
+        assert rec == tuple(rec)
+
+    def test_claim_tally_defaults_are_fresh(self):
+        from nclosed.verify import ClaimTally
+        a, b = ClaimTally(), ClaimTally()
+        assert a.checked == 0 and a.violations == [] and a == b
+        a.violations.append({"claim": "T3.2"})
+        assert b.violations == [] and a != b
+        assert repr(b) == "ClaimTally(checked=0, violations=[])"
+
+    def test_profile_repr(self):
+        assert (repr(ClosednessProfile(2, 1, (2,)))
+                == "ClosednessProfile(start=2, period=1, closed=(2,))")
+
+    def test_element_index_out_of_range(self):
+        g = parse_group_spec("Z4")
+        with pytest.raises(ValueError, match="index 4 out of range"):
+            Element(g, g.order)
+        with pytest.raises(ValueError):
+            Element(g, -1)
+
+    def test_equality_and_hash_follow_owner_identity(self):
+        from nclosed.groups import validate_cayley_table
+        z4 = parse_group_spec("Z4")
+        g1, g2 = (validate_cayley_table(z4.table_lists()) for _ in range(2))
+        assert Element(g1, 1) == Element(g1, 1) and Element(g1, 1) != Element(g1, 2)
+        assert hash(Element(g1, 1)) == hash(Element(g1, 1))
+        assert Element(g1, 1) != Element(g2, 1)
+        h1 = Subgroup.from_indices(g1, [0, 2])
+        assert h1 == Subgroup(GSubset(g1, h1.mask)) and h1 != GSubset(g1, h1.mask)
+        assert hash(h1) == hash(Subgroup(GSubset(g1, h1.mask)))
+        assert h1 != Subgroup.from_indices(g2, [0, 2])
+        with pytest.raises(TypeError):
+            len(h1)
+        with pytest.raises(TypeError):
+            iter(h1)
+
+    def test_pickle_round_trip(self):
+        import pickle
+        from nclosed.scan import run_scan
+        from nclosed.verify import ClaimTally
+        g = parse_group_spec("D4")
+        entries = run_scan(g).entries
+        assert pickle.loads(pickle.dumps(entries)) == entries
+        tally = ClaimTally(3, [{"claim": "T3.2", "n": 4}])
+        assert pickle.loads(pickle.dumps(tally)) == tally
+        # a copy brings its own copy of the group, so it equals the report
+        # built on that copy
+        h = generated_subgroup([Element(g, 1)])
+        rep = next(i for i in range(g.order) if i not in h)
+        copy = pickle.loads(pickle.dumps(analyze_coset(Element(g, rep), h)))
+        g2 = copy.coset.owner
+        assert g2 is not g and copy.rep.owner is g2 and copy.subgroup.owner is g2
+        assert copy == analyze_coset(Element(g2, rep), Subgroup(GSubset(g2, h.mask)))

@@ -1,7 +1,6 @@
 import concurrent.futures
 import json
 from collections import Counter
-from dataclasses import replace
 from math import gcd
 from pathlib import Path
 
@@ -348,7 +347,7 @@ class TestMutationDetection:
         real = closedness.analyze_coset
         never = closedness.ClosednessProfile(start=2, period=1, closed=())
         monkeypatch.setattr(closedness, "analyze_coset",
-                            lambda a, h: replace(real(a, h), profile=never))
+                            lambda a, h: real(a, h)._replace(profile=never))
         code = main(["verify", "--corpus", "Z9", "--jobs", "1", "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         monkeypatch.undo()
