@@ -70,6 +70,10 @@ class GroupTooLargeForScan(NClosedError):
     """Group order exceeds a command-specific enumeration cap."""
 
 
+class LatticeTooLarge(NClosedError):
+    """The subgroup lattice has more members than the enumeration cap."""
+
+
 class MixedStructures(NClosedError):
     """Operation combined elements or subsets of different structures."""
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import UnknownLabel
+from .errors import LatticeTooLarge, UnknownLabel
 from .groups import Element, FiniteGroup, FiniteSemigroup, same_structure
 from .util import iter_bits
 
@@ -206,13 +206,18 @@ def generated_subgroup(gens: Sequence[Element]) -> Subgroup:
 def left_cosets(h: Subgroup) -> CosetPartition:
     """Partition of G into left cosets xH, ordered by least representative."""
     g = h.owner
+    rows = g._rows
+    hs = h.carrier.indices()
     covered = 0
     cosets = []
     reps = []
     for x in range(g.order):
         if covered >> x & 1:
             continue
-        cm = translate_mask_left(g, x, h.mask)
+        row = rows[x]
+        cm = 0
+        for y in hs:
+            cm |= 1 << row[y]
         cosets.append(GSubset(g, cm))
         reps.append(x)
         covered |= cm
@@ -250,15 +255,98 @@ def coset_commutes(a: Element, h: Subgroup) -> bool:
 # ---------------------------------------------------------------------------
 # subgroup enumeration (used by the verification harness)
 
+# all_subgroups stops past this many subgroups. An order cap cannot bound
+# the lattice: Z2^8 (order 256) has 417,199 subgroups.
+MAX_SUBGROUPS = 50_000
+
+
+class CosetAction:
+    """G acting on the left cosets of H = <hgens> by left multiplication,
+    s * yH = (s*y)H, with the cosets numbered as left_cosets lists them.
+    The orbits of H's generators on the cosets are the double cosets HyH."""
+
+    __slots__ = ("rows", "reps", "coset_of", "home", "double_of", "doubles",
+                 "double_masks")
+
+    def __init__(self, g: FiniteGroup, hmask: int, hgens: Sequence[int]):
+        part = left_cosets(Subgroup(GSubset(g, hmask)))
+        rows = g._rows
+        reps = part.representatives
+        hs = list(iter_bits(hmask))
+        coset_of = [0] * g.order
+        for i, r in enumerate(reps):
+            row = rows[r]
+            for h in hs:
+                coset_of[row[h]] = i
+        # acts[j][c]: the coset that hgens[j] sends coset c to
+        acts = [[coset_of[rows[s][r]] for r in reps] for s in hgens]
+        # double_of[c]: the double coset holding coset c, numbered in the
+        # order of their least cosets; doubles[k]: its cosets, least first
+        double_of = [-1] * len(reps)
+        doubles = []
+        double_masks = []
+        for start in range(len(reps)):
+            if double_of[start] >= 0:
+                continue
+            k = double_of[start] = len(doubles)
+            members = [start]
+            dmask = 0
+            for c in members:  # members grows while it is read
+                dmask |= part.cosets[c].mask
+                for act in acts:
+                    d = act[c]
+                    if double_of[d] < 0:
+                        double_of[d] = k
+                        members.append(d)
+            doubles.append(members)
+            double_masks.append(dmask)
+        self.rows = rows
+        self.reps = reps
+        self.coset_of = coset_of
+        self.home = coset_of[g.identity]
+        self.double_of = double_of
+        self.doubles = doubles
+        self.double_masks = double_masks
+
+    def double_coset_reps(self) -> list[int]:
+        """One x per double coset HxH other than H itself: the least
+        element, the representative of its least coset."""
+        own = self.double_of[self.home]
+        return [self.reps[cs[0]] for k, cs in enumerate(self.doubles) if k != own]
+
+    def join(self, x: int) -> int:
+        """Mask of <H, x>: the union of the cosets in the orbit of H under
+        H's generators plus x. That orbit is <H, x>/H, and in a finite
+        group the generators reach all of it without their inverses. It is
+        a union of double cosets, so each is added whole and only x is
+        applied coset by coset."""
+        coset_of, reps, double_of = self.coset_of, self.reps, self.double_of
+        doubles, double_masks = self.doubles, self.double_masks
+        rx = self.rows[x]
+        own = double_of[self.home]
+        in_k = bytearray(len(doubles))
+        in_k[own] = 1
+        kmask = double_masks[own]
+        todo = [self.home]
+        for c in todo:  # todo grows while it is read
+            d = double_of[coset_of[rx[reps[c]]]]
+            if not in_k[d]:
+                in_k[d] = 1
+                kmask |= double_masks[d]
+                todo += doubles[d]
+        return kmask
+
 
 def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
     """Every subgroup of G, ordered by (order, mask).
 
-    Breadth-first from the trivial subgroup, each H found is extended by
-    one representative x per left coset other than H, since <H, y> = <H, x>
-    for y in xH; <H, x> is the closure of H's generators plus x. Every
-    <g1,...,gk> is reached through <g1> <= <g1,g2> <= ..., so the search is
-    complete for any finite group.
+    Breadth-first from the trivial subgroup, through G acting on the left
+    cosets of each H found (CosetAction). <H, y> = <H, x> for every y in
+    HxH, so H is extended by one representative x per double coset other
+    than H, and <H, x> is read off the action as a union of cosets, with
+    no element-wise closure. Every <g1,...,gk> is reached through
+    <g1> <= <g1,g2> <= ..., so the search is complete for any finite
+    group. Finding more than MAX_SUBGROUPS raises LatticeTooLarge.
     """
     trivial = 1 << g.identity
     gens: dict[int, list[int]] = {trivial: []}
@@ -267,13 +355,15 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
         nxt = []
         for hmask in frontier:
             hgens = gens[hmask]
-            for x in left_cosets(Subgroup(GSubset(g, hmask))).representatives:
-                if hmask >> x & 1:
-                    continue
-                m = closure_mask(g, hgens + [x])
-                if m not in gens:
-                    gens[m] = hgens + [x]
-                    nxt.append(m)
+            action = CosetAction(g, hmask, hgens)
+            for x in action.double_coset_reps():
+                kmask = action.join(x)
+                if kmask not in gens:
+                    gens[kmask] = hgens + [x]
+                    nxt.append(kmask)
+                    if len(gens) > MAX_SUBGROUPS:
+                        raise LatticeTooLarge(
+                            f"{g.name} has more than {MAX_SUBGROUPS} subgroups")
         frontier = nxt
     masks = sorted(gens, key=lambda m: (m.bit_count(), m))
     return [Subgroup(GSubset(g, m)) for m in masks]

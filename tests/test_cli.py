@@ -203,6 +203,20 @@ class TestDescribe:
         normal_orders = sorted(s["order"] for s in payload["subgroups"] if s["normal"])
         assert normal_orders == [1, 3, 6]
 
+    def test_subgroups_past_the_lattice_cap_is_input_error(self, capsys):
+        # Z2^8 has order 256 and 417,199 subgroups
+        from nclosed.subsets import MAX_SUBGROUPS
+        code, out, err = run_cli(capsys, "subgroups", "x".join(["Z2"] * 8),
+                                 "--format", "json")
+        assert code == 1 and out == ""
+        assert f"has more than {MAX_SUBGROUPS} subgroups" in err
+
+    def test_subgroups_under_the_lattice_cap_lists(self, capsys):
+        code, out, _ = run_cli(capsys, "subgroups", "x".join(["Z2"] * 5),
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out)["count"] == 374
+
     def test_table_spec_round_trip(self, capsys, tmp_path, q8):
         path = tmp_path / "q8.json"
         dump_cayley_table(q8, path)

@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nclosed.errors import MixedStructures, UnknownLabel
+from nclosed import subsets
+from nclosed.errors import LatticeTooLarge, MixedStructures, UnknownLabel
 from nclosed.groups import Element, make_named
+from nclosed.parsing import parse_group_spec
 from nclosed.subsets import (
+    CosetAction,
     GSubset,
     Subgroup,
     all_subgroups,
@@ -208,6 +211,53 @@ class TestCosetCommutes:
         assert coset_commutes(Element(z9, 1), h)
 
 
+def left_coset_closure_search(g):
+    """The lattice search before the coset action, kept as a reference: one
+    extension per left coset, each <H, x> rebuilt with closure_mask."""
+    trivial = 1 << g.identity
+    gens = {trivial: []}
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for hmask in frontier:
+            hgens = gens[hmask]
+            for x in left_cosets(Subgroup(GSubset(g, hmask))).representatives:
+                if hmask >> x & 1:
+                    continue
+                m = closure_mask(g, hgens + [x])
+                if m not in gens:
+                    gens[m] = hgens + [x]
+                    nxt.append(m)
+        frontier = nxt
+    return sorted(gens, key=lambda m: (m.bit_count(), m))
+
+
+class TestCosetAction:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_join_is_the_closure_of_h_and_x(self, data, small_corpus):
+        g = data.draw(st.sampled_from(small_corpus))
+        h = data.draw(st.sampled_from(all_subgroups(g)))
+        hgens = []  # a generating set of H, drawn in a random order
+        for y in data.draw(st.permutations(h.carrier.indices())):
+            if not closure_mask(g, [g.identity] + hgens) >> y & 1:
+                hgens.append(y)
+        x = data.draw(st.integers(0, g.order - 1))
+        assert CosetAction(g, h.mask, hgens).join(x) == closure_mask(g, hgens + [x])
+
+    def test_double_coset_reps_partition_the_rest_of_g(self, small_corpus):
+        for g in small_corpus + [parse_group_spec("S4")]:
+            for h in all_subgroups(g):
+                hs = h.carrier.indices()
+                action = CosetAction(g, h.mask, hs)
+                covered = h.mask
+                for x in action.double_coset_reps():
+                    hxh = sum({1 << g.mul(g.mul(a, x), b) for a in hs for b in hs})
+                    assert covered & hxh == 0
+                    covered |= hxh
+                assert covered == (1 << g.order) - 1
+
+
 class TestSubgroupEnumeration:
     @pytest.mark.parametrize("spec,count", [
         ("S3", 6), ("Q8", 6), ("Z12", 6), ("D4", 10),
@@ -215,10 +265,11 @@ class TestSubgroupEnumeration:
         ("S4", 30),
         ("perm(5): (1 2 3), (1 2 3 4 5)", 59),   # alternating group on 5 points
         ("D24", 68), ("D30", 80), ("Z2xS4", 98), ("S5", 156),
-        ("Z2xZ2xZ2xZ2", 67),
+        # Z2^n has sum over k of the Gaussian binomials [n, k]_2 =
+        # prod_{i<k} (2^(n-i) - 1) / (2^(i+1) - 1) subgroups: 67, 374, 2825
+        ("Z2xZ2xZ2xZ2", 67), ("Z2xZ2xZ2xZ2xZ2", 374), ("Z2xZ2xZ2xZ2xZ2xZ2", 2825),
     ])
     def test_known_subgroup_counts(self, spec, count):
-        from nclosed.parsing import parse_group_spec
         g = parse_group_spec(spec)
         subs = all_subgroups(g)
         assert len(subs) == count
@@ -240,6 +291,26 @@ class TestSubgroupEnumeration:
             masks = sorted(range(1, 1 << g.order), key=lambda m: (m.bit_count(), m))
             expected = [m for m in masks if is_subgroup(GSubset(g, m))]
             assert [s.mask for s in all_subgroups(g)] == expected, g.name
+
+    @pytest.mark.parametrize("spec", [
+        "perm(5): (1 2 3), (1 2 3 4 5)", "D24", "D30", "Z2xS4", "S5", "D60",
+        "Q8xZ2", "Z2xZ2xZ2xZ2xZ2"])
+    def test_matches_the_left_coset_closure_search(self, spec):
+        g = parse_group_spec(spec)
+        assert [s.mask for s in all_subgroups(g)] == left_coset_closure_search(g)
+
+    def test_search_builds_no_closure(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("closure_mask called")
+        monkeypatch.setattr(subsets, "closure_mask", refuse)
+        assert len(all_subgroups(parse_group_spec("S4"))) == 30
+
+    def test_lattice_cap(self, monkeypatch, s3):
+        monkeypatch.setattr(subsets, "MAX_SUBGROUPS", 6)
+        assert len(all_subgroups(s3)) == 6
+        monkeypatch.setattr(subsets, "MAX_SUBGROUPS", 5)
+        with pytest.raises(LatticeTooLarge, match="more than 5 subgroups"):
+            all_subgroups(s3)
 
 
 def pairwise_closure(struct, seeds):
