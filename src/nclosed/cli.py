@@ -28,7 +28,8 @@ from .util import available_cpus
 from .verify import DEFAULT_CORPUS, run_verification
 
 
-# check prints a witness of n labels, so its output and memory grow with n
+# check prints a witness of n labels, so its output and memory grow with n;
+# coset checks its spectrum once per m up to --max-n, so its time does
 CHECK_N_CAP = 1_000_000
 
 
@@ -137,6 +138,8 @@ def cmd_check(args) -> int:
 def cmd_coset(args) -> int:
     if args.max_n < 2:
         raise UsageError(f"--max-n must be >= 2, got {args.max_n}")
+    if args.max_n > CHECK_N_CAP:
+        raise UsageError(f"--max-n caps at {CHECK_N_CAP}, got {args.max_n}")
     g = parse_group_spec(args.group)
     h = generated_subgroup(parse_subset_spec(args.subgroup, g).elements())
     a = _single_element(g, args.rep)
@@ -232,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "coset closedness spectra, and verify the normality "
                     "characterization against classical conjugation.",
         epilog="Group specs: Z<n>, S<n> (n<=6), D<n> (order 2n), Q8, products "
-               "like Z2xZ3, perm(<degree>): <cycles>, ..., or table:<path> "
+               "like Z2xZ3, perm(<degree>): <cycles>, ... (degree<=8, order<=5040), "
+               "or table:<path> "
                "(JSON Cayley table). Cycle notation composes right to left: "
                "in (1 2)(2 3) the right cycle applies first.")
     common = argparse.ArgumentParser(add_help=False)
@@ -272,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power", type=int, default=None,
                    help="also analyze the power coset rep^m*H")
     p.add_argument("--max-n", type=int, default=20,
-                   help="verify the spectrum up to this m (default 20)")
+                   help=f"verify the spectrum up to this m, 2 to {CHECK_N_CAP} "
+                        "(default 20)")
     p.set_defaults(func=cmd_coset)
 
     p = sub.add_parser("scan", parents=[common],

@@ -9,7 +9,10 @@ factor first": (x*y) acts as x after y. Named constructors put the
 identity at index 0.
 
 Each row is an array("i"). The named families and direct products are
-built row by row, with their inverses given by formula. Table validation
+built row by row, with their inverses given by formula. Every permutation
+group, S_d and each perm spec alike, comes from permutation_group: a
+breadth-first closure of the generators, numbered in lexicographic
+one-line order, each row gathered from an earlier one. Table validation
 works on the rows of a table as tuples that share one int object per
 element, so that whole rows are gathered and compared in C, and converts
 each to an array("i") once the table has passed; the commutativity and
@@ -24,7 +27,7 @@ import json
 import sys
 from array import array
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import gcd
 from operator import countOf, itemgetter
 from pathlib import Path
@@ -82,14 +85,13 @@ class FiniteGroup(FiniteSemigroup):
     """Finite group, validated or built by construction: adds identity,
     inverses, powers, orders."""
 
-    def __init__(self, rows, labels, identity, inverses, name="group",
-                 perm_degree=None, perms=None):
+    def __init__(self, rows, labels, identity, inverses, name="group", perms=None):
         super().__init__(rows, labels, name)
         self.identity: int = identity
         self._inv = inverses
         # permutation metadata, set for symmetric / perm-generated groups so
         # cycle notation can be resolved against this group's elements
-        self.perm_degree: int | None = perm_degree
+        self.perm_degree: int | None = len(perms[0]) if perms else None
         self._perms: tuple[tuple[int, ...], ...] | None = perms
         self._perm_index = {p: i for i, p in enumerate(perms)} if perms else None
 
@@ -436,35 +438,39 @@ def _cycle_label(perm: tuple[int, ...]) -> str:
     return "".join(parts) or "e"
 
 
-def _build_symmetric(degree: int) -> FiniteGroup:
-    perms = tuple(permutations(range(degree)))
+def permutation_group(degree: int, gens, name: str) -> FiniteGroup:
+    """The group generated by permutation tuples of range(degree).
+
+    A breadth-first closure from the identity records, for each new
+    element s*r (r applied first), the generator s and the element r it
+    came from; more than MAX_ORDER elements raise GroupTooLarge before any
+    row is built. The elements are numbered in lexicographic one-line
+    order, so the identity is index 0 and S_d comes out in its own order.
+    """
+    identity = tuple(range(degree))
+    reached, came_from = [identity], {identity: None}
+    for r in reached:  # reached grows as it is read: breadth-first
+        for k, s in enumerate(gens):
+            x = tuple(map(s.__getitem__, r))
+            if x not in came_from:
+                came_from[x] = (k, r)
+                reached.append(x)
+                if len(reached) > MAX_ORDER:
+                    raise GroupTooLarge(f"{name} has more than {MAX_ORDER} elements")
+    perms = tuple(sorted(reached))
     index = {p: i for i, p in enumerate(perms)}
-    # the n-cycle and the transposition (1 2) generate S_n; their rows are
-    # s*y for every y, with y applied first
-    points = tuple(range(degree))
-    gens = (points[1:] + points[:1], points[1::-1] + points[2:])
-    gen_rows = [tuple(index[tuple(s[k] for k in y)] for y in perms) for s in gens]
-    # breadth-first from the identity: (s*r)*y = s*(r*y), so the row of s*r
-    # is the row of s gathered through the row of r
-    rows = {0: tuple(range(len(perms)))}
-    frontier = [0]
-    while frontier:
-        reached = []
-        for r in frontier:
-            row_r = rows[r]
-            for row_s in gen_rows:
-                x = row_s[r]
-                if x not in rows:
-                    # a new element means order >= 2: itemgetter gives a tuple
-                    rows[x] = itemgetter(*row_r)(row_s)
-                    reached.append(x)
-        frontier = reached
+    gen_rows = [tuple(index[tuple(map(s.__getitem__, y))] for y in perms) for s in gens]
+    # in reach order: (s*r)*y = s*(r*y), so the row of s*r is the row of s
+    # gathered through the row of r (itemgetter gives a tuple, as order >= 2)
+    rows = [tuple(range(len(perms)))] + [None] * (len(perms) - 1)
+    for x in reached[1:]:
+        k, r = came_from[x]
+        rows[index[x]] = itemgetter(*rows[index[r]])(gen_rows[k])
     # the inverse of p sends p[i] back to i: the points sorted by their image
-    inverses = array("i", [index[tuple(sorted(points, key=p.__getitem__))]
+    inverses = array("i", [index[tuple(sorted(identity, key=p.__getitem__))]
                            for p in perms])
-    return FiniteGroup(tuple(array("i", rows[x]) for x in range(len(perms))),
-                       tuple(_cycle_label(p) for p in perms), 0, inverses,
-                       f"S{degree}", perm_degree=degree, perms=perms)
+    return FiniteGroup(_as_arrays(rows), tuple(_cycle_label(p) for p in perms), 0,
+                       inverses, name, perms=perms)
 
 
 def _build_cyclic(n: int) -> FiniteGroup:
@@ -543,7 +549,9 @@ def make_named(family: str, parameter: int) -> FiniteGroup:
     if fam == "symmetric":
         if not 1 <= parameter <= 6:
             raise UnsupportedParameter(f"symmetric degree must be in 1..6, got {parameter}")
-        return _build_symmetric(parameter)
+        points = tuple(range(parameter))  # the n-cycle and (1 2) generate S_n
+        return permutation_group(parameter, (points[1:] + points[:1], points[1::-1] + points[2:]),
+                                 f"S{parameter}")
     if fam == "dihedral":
         if parameter < 3:
             raise UnsupportedParameter(f"dihedral parameter must be >= 3, got {parameter}")

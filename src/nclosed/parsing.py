@@ -17,8 +17,6 @@ Overlapping cycles are therefore legal.
 
 from __future__ import annotations
 
-from array import array
-
 from .errors import (
     EmptySubsetSpec,
     GroupTooLarge,
@@ -26,17 +24,22 @@ from .errors import (
     PointOutOfRange,
     RepeatedPointInCycle,
     UnknownLabel,
+    UnsupportedParameter,
 )
 from .groups import (
     MAX_ORDER,
-    Element,
     FiniteGroup,
     FiniteSemigroup,
     direct_product,
     load_cayley_table,
     make_named,
+    permutation_group,
 )
-from .subsets import GSubset, Subgroup, generated_subgroup
+from .subsets import GSubset
+
+# a perm spec names its degree; 8 points hold PSL(2,7) and AGL(1,8), while
+# the generated group stays under MAX_ORDER
+MAX_PERM_DEGREE = 8
 
 
 class _Scanner:
@@ -135,18 +138,6 @@ def _parse_perm_body(sc: _Scanner, degree: int) -> tuple[int, ...]:
     return perm
 
 
-def parse_permutation(text: str, degree: int) -> Element:
-    """Parse cycle notation into an element of the symmetric group."""
-    make_named("symmetric", degree)  # validates degree range
-    sc = _Scanner(text)
-    perm = _parse_perm_body(sc, degree)
-    sc.expect_end()
-    sym = make_named("symmetric", degree)
-    idx = sym.index_of_permutation(perm)
-    assert idx is not None
-    return Element(sym, idx)
-
-
 # ---------------------------------------------------------------------------
 # group specs
 
@@ -165,17 +156,6 @@ def _parse_atom(sc: _Scanner) -> FiniteGroup:
     return make_named(_FAMILY_BY_LETTER[letter], parameter)
 
 
-def _group_from_subgroup(sub: Subgroup, base: FiniteGroup, name: str) -> FiniteGroup:
-    ids = sub.carrier.indices()
-    pos = {gid: i for i, gid in enumerate(ids)}
-    rows = tuple(array("i", (pos[base.mul(x, y)] for y in ids)) for x in ids)
-    labels = tuple(base.labels[i] for i in ids)
-    inverses = array("i", (pos[base.inv(x)] for x in ids))
-    perms = tuple(base.permutation_of(i) for i in ids) if base.perm_degree else None
-    return FiniteGroup(rows, labels, pos[base.identity], inverses, name,
-                       perm_degree=base.perm_degree, perms=perms)
-
-
 def _parse_perm_group(sc: _Scanner, raw: str) -> FiniteGroup:
     sc.pos += len("perm")
     sc.skip_ws()
@@ -186,18 +166,17 @@ def _parse_perm_group(sc: _Scanner, raw: str) -> FiniteGroup:
     sc.expect(")")
     sc.skip_ws()
     sc.expect(":")
-    sym = make_named("symmetric", degree)
+    if not 1 <= degree <= MAX_PERM_DEGREE:
+        raise UnsupportedParameter(f"perm degree must be in 1..{MAX_PERM_DEGREE}, got {degree}")
     gens = []
     while True:
-        perm = _parse_perm_body(sc, degree)
-        gens.append(Element(sym, sym.index_of_permutation(perm)))
+        gens.append(_parse_perm_body(sc, degree))
         sc.skip_ws()
-        if sc.peek() == ",":
-            sc.take()
-            continue
-        break
+        if sc.peek() != ",":
+            break
+        sc.take()
     sc.expect_end()
-    return _group_from_subgroup(generated_subgroup(gens), sym, name=raw.strip())
+    return permutation_group(degree, gens, raw.strip())
 
 
 def parse_group_spec(text: str) -> FiniteGroup:
@@ -271,9 +250,10 @@ def parse_subset_spec(text: str, owner: FiniteSemigroup) -> GSubset:
             raise ParseError("element label expected", offset)
         idx = owner.index_of_label(label)
         if idx is None and isinstance(owner, FiniteGroup) and owner.perm_degree:
+            sc = _Scanner(label)
             try:
-                parsed = parse_permutation(label, owner.perm_degree)
-                perm = parsed.owner.permutation_of(parsed.index)
+                perm = _parse_perm_body(sc, owner.perm_degree)
+                sc.expect_end()
                 idx = owner.index_of_permutation(perm)
             except ParseError:
                 idx = None

@@ -55,6 +55,11 @@ def s3():
 
 
 @pytest.fixture(scope="session")
+def s4():
+    return make_named("symmetric", 4)
+
+
+@pytest.fixture(scope="session")
 def q8():
     return make_named("quaternion", 8)
 

@@ -96,6 +96,25 @@ class TestCoset:
             assert code == 1 and out == ""
             assert "--max-n must be >= 2" in err
 
+    def test_max_n_above_the_cap_is_input_error_before_any_group(self, capsys, monkeypatch):
+        # the spectrum is checked once per m, so --max-n bounds its time
+        from nclosed import cli
+
+        def no_group(spec):
+            raise AssertionError(f"group {spec} built")
+        monkeypatch.setattr(cli, "parse_group_spec", no_group)
+        code, out, err = run_cli(capsys, "coset", "Z4", "--subgroup", "2",
+                                 "--rep", "1", "--max-n", str(cli.CHECK_N_CAP + 1))
+        assert code == 1 and out == ""
+        assert f"--max-n caps at {cli.CHECK_N_CAP}, got {cli.CHECK_N_CAP + 1}" in err
+
+    def test_max_n_at_the_cap_is_accepted(self, capsys):
+        from nclosed import cli
+        code, out, _ = run_cli(capsys, "coset", "Z4", "--subgroup", "2", "--rep", "1",
+                               "--max-n", str(cli.CHECK_N_CAP), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["spectrum"]["verified_up_to"] == cli.CHECK_N_CAP
+
 
 class TestScan:
     def test_z4_classification(self, capsys):

@@ -1,14 +1,16 @@
 import json
+import math
 from array import array
 from itertools import permutations
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from nclosed import groups
+from nclosed import groups, parsing
+from nclosed.cli import main
 from nclosed.errors import (
     DuplicateLabel,
     GroupTooLarge,
@@ -27,10 +29,13 @@ from nclosed.groups import (
     dump_cayley_table,
     load_cayley_table,
     make_named,
+    permutation_group,
     structure_orders,
     validate_cayley_table,
     validate_semigroup_table,
 )
+from nclosed.parsing import parse_group_spec, parse_subset_spec
+from nclosed.subsets import generated_subgroup
 
 
 def cyclic_table(n):
@@ -358,6 +363,112 @@ class TestNamedFamiliesAgainstReference:
             assert list(g.labels) == labels
         if family == "symmetric":
             assert [g.permutation_of(a) for a in range(g.order)] == elements
+
+
+def _copied_out_of_symmetric(degree, gens):
+    """Reference: close the generators inside S_degree and copy the
+    subgroup out, renumbered in S_degree's index order. Rows, labels,
+    inverses and permutations, as lists."""
+    sym = make_named("symmetric", degree)
+    sub = generated_subgroup([Element(sym, sym.index_of_permutation(p)) for p in gens])
+    ids = sub.carrier.indices()
+    pos = {x: i for i, x in enumerate(ids)}
+    return ([[pos[sym.mul(x, y)] for y in ids] for x in ids],
+            [sym.labels[x] for x in ids],
+            [pos[sym.inv(x)] for x in ids],
+            [sym.permutation_of(x) for x in ids])
+
+
+def _built(g):
+    return (g.table_lists(), list(g.labels), [g.inv(a) for a in range(g.order)],
+            [g.permutation_of(a) for a in range(g.order)])
+
+
+def _order_histogram(g):
+    """Element orders from the permutations alone: each is the lcm of its
+    cycle lengths."""
+    hist = {}
+    for a in range(g.order):
+        p, seen, order = g.permutation_of(a), set(), 1
+        for start in range(len(p)):
+            length, x = 0, start
+            while x not in seen:
+                seen.add(x)
+                x = p[x]
+                length += 1
+            order = math.lcm(order, max(length, 1))
+        hist[order] = hist.get(order, 0) + 1
+    return hist
+
+
+# the perm specs used across the tests, the corpus and the benchmark, and S6
+PERM_SPECS = [
+    (3, ["(1 2)", "(1 2 3)"]),
+    (4, ["(1 2 3)", "(2 3 4)"]),
+    (5, ["(1 2 3)", "(1 2 3 4 5)"]),
+    (6, ["(1 2 3 4 5 6)", "(1 2)"]),
+    (6, ["(1 2 3)(4 5 6)", "(1 4)"]),
+    (4, ["e"]),
+    (1, ["e"]),
+]
+
+
+class TestPermutationGroup:
+    """permutation_group against the copy out of S_d it replaced."""
+
+    @pytest.mark.parametrize("degree,cycles", PERM_SPECS)
+    def test_perm_spec_matches_the_copy_out_of_symmetric(self, degree, cycles):
+        sym = make_named("symmetric", degree)
+        gens = [sym.permutation_of(parse_subset_spec(c, sym).indices()[0]) for c in cycles]
+        g = parse_group_spec(f"perm({degree}): " + ", ".join(cycles))
+        assert g.identity == 0 and g.perm_degree == degree
+        assert _built(g) == _copied_out_of_symmetric(degree, gens)
+
+    @seed(20111)
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda d: st.tuples(st.just(d), st.lists(st.permutations(range(d)),
+                                                 min_size=1, max_size=3))))
+    def test_random_generators_match_the_copy_out_of_symmetric(self, case):
+        degree, gens = case
+        gens = [tuple(p) for p in gens]
+        g = permutation_group(degree, gens, "sample")
+        assert _built(g) == _copied_out_of_symmetric(degree, gens)
+
+    def test_no_symmetric_group_behind_a_perm_spec_or_a_cycle_label(self, monkeypatch):
+        def no_named(family, parameter):
+            raise AssertionError(f"make_named({family!r}, {parameter}) called")
+        monkeypatch.setattr(groups, "make_named", no_named)
+        monkeypatch.setattr(parsing, "make_named", no_named)
+        g = parse_group_spec("perm(5): (1 2 3), (1 2 3 4 5)")
+        assert g.order == 60
+        assert sorted(parse_subset_spec("(3 2 1),(5 4 3 2 1)", g).labels()) == [
+            "(1 3 2)", "(1 5 4 3 2)"]
+
+    @pytest.mark.parametrize("spec,order,histogram", [
+        ("perm(7): (1 2 3 4 5 6 7), (2 3)(4 7)", 168,
+         {1: 1, 2: 21, 3: 56, 4: 42, 7: 48}),                  # PSL(2,7)
+        ("perm(7): (1 2 3), (2 3)(4 5 6 7)", 12,
+         {1: 1, 2: 1, 3: 2, 4: 6, 6: 2}),                       # Dic3
+        ("perm(7): (1 2 3 4 5 6 7), (2 3 5)(4 7 6)", 21,
+         {1: 1, 3: 14, 7: 6}),                                   # Z7 x| Z3
+        ("perm(8): (1 2 3 4 5 6 7), (1 8)(2 4)(3 7)(5 6)", 56,
+         {1: 1, 2: 7, 7: 48}),                                   # AGL(1,8)
+    ])
+    def test_degree_seven_and_eight(self, spec, order, histogram):
+        g = parse_group_spec(spec)
+        assert g.order == order
+        assert _order_histogram(g) == histogram
+        assert structure_orders(g) == histogram
+
+    def test_s8_exits_before_any_row_is_built(self, capsys, monkeypatch):
+        def no_rows(*args):
+            raise AssertionError("a row was built")
+        monkeypatch.setattr(groups, "array", no_rows)
+        assert main(["group", "perm(8): (1 2 3 4 5 6 7 8), (1 2)"]) == 1
+        assert "has more than 5040 elements" in capsys.readouterr().err
+        with pytest.raises(GroupTooLarge):
+            permutation_group(8, [(1, 2, 3, 4, 5, 6, 7, 0), (1, 0, 2, 3, 4, 5, 6, 7)], "S8")
 
 
 class TestDirectProduct:

@@ -11,7 +11,7 @@ from nclosed.errors import (
     UnknownLabel,
     UnsupportedParameter,
 )
-from nclosed.parsing import parse_group_spec, parse_permutation, parse_subset_spec
+from nclosed.parsing import MAX_PERM_DEGREE, parse_group_spec, parse_subset_spec
 
 
 def apply_cycles_pointwise(cycles, degree):
@@ -27,48 +27,64 @@ def apply_cycles_pointwise(cycles, degree):
 
 
 class TestParsePermutation:
+    """Cycle notation, read through a perm spec's generators and through a
+    subset item that is not a label."""
+
     def test_transposition(self, s3):
-        p = parse_permutation("(1 3)", 3)
-        assert p.label == "(1 3)"
-        assert p.owner is s3
+        g = parse_group_spec("perm(3): (1 3)")
+        assert g.labels == ("e", "(1 3)")
+        assert g.permutation_of(1) == (2, 1, 0)
+        d = parse_subset_spec("(3 1)", s3)
+        assert d.labels() == ["(1 3)"]
+        assert d.owner is s3
 
-    def test_identity_spellings(self):
+    def test_identity_spellings(self, s4):
         for text in ("e", "()", "( )"):
-            assert parse_permutation(text, 4).index == 0
+            assert parse_group_spec(f"perm(4): {text}").order == 1
+            assert parse_subset_spec(text, s4).indices() == [0]
 
-    def test_overlapping_cycles_compose_right_to_left(self):
-        p = parse_permutation("(1 2)(2 3)", 3)
+    def test_overlapping_cycles_compose_right_to_left(self, s3):
         expected = apply_cycles_pointwise([[1, 2], [2, 3]], 3)
-        assert p.owner.permutation_of(p.index) == expected
-        assert p.label == "(1 2 3)"
+        g = parse_group_spec("perm(3): (1 2)(2 3)")
+        assert g.order == 3 and expected in {g.permutation_of(i) for i in range(3)}
+        d = parse_subset_spec("(1 2)(2 3)", s3)
+        assert s3.permutation_of(d.indices()[0]) == expected
+        assert d.labels() == ["(1 2 3)"]
 
-    def test_whitespace_flexible(self):
-        a = parse_permutation("(1 2)(3 4)", 4)
-        b = parse_permutation("  ( 1   2 ) ( 3 4 )  ", 4)
-        assert a == b
+    def test_whitespace_flexible(self, s4):
+        a = parse_group_spec("perm(4): (1 2)(3 4)")
+        b = parse_group_spec("perm(4):  ( 1   2 ) ( 3 4 )  ")
+        assert (a.labels, a.table_lists()) == (b.labels, b.table_lists())
+        assert (parse_subset_spec("(2 1)(3 4)", s4).indices()
+                == parse_subset_spec("  ( 2   1 ) ( 3 4 )  ", s4).indices())
 
     def test_point_out_of_range(self):
-        with pytest.raises(PointOutOfRange):
-            parse_permutation("(1 7)", 3)
+        with pytest.raises(PointOutOfRange) as exc:
+            parse_group_spec("perm(3): (1 7)")
+        assert exc.value.position == len("perm(3): (1 ")
 
     def test_repeated_point(self):
-        with pytest.raises(RepeatedPointInCycle):
-            parse_permutation("(1 1)", 3)
+        with pytest.raises(RepeatedPointInCycle) as exc:
+            parse_group_spec("perm(3): (1 1)")
+        assert exc.value.position == len("perm(3): (1 ")
 
     def test_unclosed_cycle_position(self):
         with pytest.raises(ParseError) as exc:
-            parse_permutation("(1 2", 3)
-        assert exc.value.position == 4
+            parse_group_spec("perm(3): (1 2")
+        assert exc.value.position == len("perm(3): ") + 4
 
     def test_degree_range(self):
-        with pytest.raises(UnsupportedParameter):
-            parse_permutation("(1 2)", 7)
-        with pytest.raises(UnsupportedParameter):
-            parse_permutation("e", 0)
+        for degree in (0, MAX_PERM_DEGREE + 1):
+            with pytest.raises(UnsupportedParameter) as exc:
+                parse_group_spec(f"perm({degree}): e")
+            assert str(exc.value) == f"perm degree must be in 1..8, got {degree}"
+        assert parse_group_spec(f"perm({MAX_PERM_DEGREE}): (1 2)").order == 2
 
-    def test_trailing_garbage(self):
+    def test_trailing_garbage(self, s3):
         with pytest.raises(ParseError):
-            parse_permutation("(1 2) nonsense", 3)
+            parse_group_spec("perm(3): (1 2) nonsense")
+        with pytest.raises(UnknownLabel):
+            parse_subset_spec("(1 2) nonsense", s3)
 
 
 class TestParseGroupSpec:
@@ -192,10 +208,11 @@ class TestFuzz:
     @settings(max_examples=200, deadline=None)
     @given(st.text(max_size=120), st.integers(1, 6))
     def test_permutation_never_panics(self, text, degree):
+        spec = f"perm({degree}): {text}"
         try:
-            parse_permutation(text, degree)
+            parse_group_spec(spec)
         except ParseError as exc:
-            assert 0 <= exc.position <= len(text)
+            assert len(spec) - len(text) <= exc.position <= len(spec)
 
     @settings(max_examples=200, deadline=None)
     @given(text=st.text(max_size=120))
