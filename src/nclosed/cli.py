@@ -104,12 +104,12 @@ def cmd_subgroups(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.n < 2:
+        raise UsageError(f"--n must be >= 2, got {args.n}")
     if args.n > CHECK_N_CAP:
         raise UsageError(f"--n caps at {CHECK_N_CAP}, got {args.n}")
     g = parse_group_spec(args.group)
     d = parse_subset_spec(args.subset, g)
-    if args.n < 2:
-        raise UsageError(f"--n must be >= 2, got {args.n}")
     closed = closedness.is_n_closed(d, args.n)
     witness = None if closed else closedness.n_closed_witness(d, args.n)
     witness_labels = [g.labels[i] for i in witness] if witness is not None else None
@@ -140,6 +140,8 @@ def cmd_coset(args) -> int:
         raise UsageError(f"--max-n must be >= 2, got {args.max_n}")
     if args.max_n > CHECK_N_CAP:
         raise UsageError(f"--max-n caps at {CHECK_N_CAP}, got {args.max_n}")
+    if args.power is not None and args.power < 1:
+        raise UsageError(f"--power must be >= 1, got {args.power}")
     g = parse_group_spec(args.group)
     h = generated_subgroup(parse_subset_spec(args.subgroup, g).elements())
     a = _single_element(g, args.rep)
@@ -274,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="generator labels of H, comma-separated")
     p.add_argument("--rep", required=True, help="coset representative label")
     p.add_argument("--power", type=int, default=None,
-                   help="also analyze the power coset rep^m*H")
+                   help="also analyze the power coset rep^m*H, m >= 1")
     p.add_argument("--max-n", type=int, default=20,
                    help=f"verify the spectrum up to this m, 2 to {CHECK_N_CAP} "
                         "(default 20)")

@@ -55,6 +55,18 @@ class TestCheck:
         assert code == 1 and out == ""
         assert f"--n caps at {cli.CHECK_N_CAP}, got {cli.CHECK_N_CAP + 1}" in err
 
+    def test_n_below_two_is_input_error_before_any_group(self, capsys, monkeypatch):
+        from nclosed import cli
+
+        def no_group(spec):
+            raise AssertionError(f"group {spec} built")
+        monkeypatch.setattr(cli, "parse_group_spec", no_group)
+        for n in ("1", "-3"):
+            code, out, err = run_cli(capsys, "check", "Z5040", "--subset", "1",
+                                     "--n", n)
+            assert code == 1 and out == ""
+            assert f"--n must be >= 2, got {n}" in err
+
     def test_n_below_the_cap_prints_a_witness_of_n_labels(self, capsys):
         code, out, _ = run_cli(capsys, "check", "S3", "--subset", "(1 3),(1 2 3)",
                                "--n", "7", "--format", "json")
@@ -107,6 +119,20 @@ class TestCoset:
                                  "--rep", "1", "--max-n", str(cli.CHECK_N_CAP + 1))
         assert code == 1 and out == ""
         assert f"--max-n caps at {cli.CHECK_N_CAP}, got {cli.CHECK_N_CAP + 1}" in err
+
+    def test_power_below_one_is_input_error_before_any_group(self, capsys, monkeypatch):
+        # the spectrum check up to --max-n would otherwise run first
+        from nclosed import cli
+
+        def no_group(spec):
+            raise AssertionError(f"group {spec} built")
+        monkeypatch.setattr(cli, "parse_group_spec", no_group)
+        for power in ("0", "-2"):
+            code, out, err = run_cli(capsys, "coset", "Z9", "--subgroup", "3",
+                                     "--rep", "1", "--power", power,
+                                     "--max-n", str(cli.CHECK_N_CAP))
+            assert code == 1 and out == ""
+            assert f"--power must be >= 1, got {power}" in err
 
     def test_max_n_at_the_cap_is_accepted(self, capsys):
         from nclosed import cli

@@ -434,6 +434,87 @@ class TestMutationDetection:
         assert closedness.is_n_closed(d, cert["n"]) is False
 
 
+class TestExtractionFiling:
+    """The extraction sweep's certificates keep the name of their check:
+    extraction-subgroup and extraction-prefix are filed under T2.1,
+    extraction-coset under C2.01, each once."""
+
+    def test_failed_subgroup_check_is_filed_once_under_t21(self, monkeypatch, capsys):
+        payloads = []
+        # at --jobs 2 the sweep runs in a forked worker, which inherits the fault
+        for jobs in ("1", "2"):
+            monkeypatch.setattr(closedness, "is_subgroup", lambda a: False)
+            code = main(["verify", "--corpus", "Z9", "--jobs", jobs, "--format", "json"])
+            payloads.append(json.loads(capsys.readouterr().out))
+            monkeypatch.undo()
+            assert code == 2, jobs
+        payload = payloads[0]
+        assert payloads[1] == payload
+        t21, c201 = payload["claims"]["T2.1"], payload["claims"]["C2.01"]
+        certs = t21["violations"]
+        # every extraction fails its subgroup check, and only that one
+        assert certs and len(certs) == t21["checked"] == c201["checked"]
+        assert {c["claim"] for c in certs} == {"extraction-subgroup"}
+        assert c201["violations"] == []
+        assert payload["violation_count"] == len(certs)
+        for cert in certs:
+            # replayed by its kind: b^(n-2)*D is a subgroup after all
+            g = validate_cayley_table(cert["table"], cert["labels"])
+            d = {g.index_of_label(x) for x in cert["subset"]}
+            b = g.index_of_label(cert["witness"])
+            shift = {g.mul(power(g, b, cert["n"] - 2), x) for x in d}
+            assert products(g, shift, 2) <= shift and g.identity in shift
+
+    def test_injected_coset_certificate_is_filed_once_unchanged_under_c201(
+            self, monkeypatch, capsys):
+        real = closedness.extract_subgroup
+        injected = []
+
+        def extract(d, n):
+            ext = real(d, n)
+            cert = closedness.make_certificate(
+                d.owner, "extraction-coset", subset=d.labels(), n=n,
+                witness=d.labels()[0], detail="injected")
+            injected.append(cert)
+            return ext._replace(violations=ext.violations + (cert,))
+
+        monkeypatch.setattr(closedness, "extract_subgroup", extract)
+        code = main(["verify", "--corpus", "Z9;S3", "--jobs", "1", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        monkeypatch.undo()
+        assert code == 2 and injected
+        key = lambda c: json.dumps(c, sort_keys=True)
+        filed = payload["claims"]["C2.01"]["violations"]
+        assert sorted(map(key, filed)) == sorted(map(key, injected))
+        assert len(set(map(key, injected))) == len(injected)
+        for cid, tally in payload["claims"].items():
+            if cid != "C2.01":
+                assert tally["violations"] == [], cid
+        assert payload["violation_count"] == len(injected)
+
+    def test_sweep_extracts_only_n_closed_non_2_closed_pairs(self, monkeypatch):
+        # extract_subgroup refuses any other pair, so the sweep never sees it refuse
+        real, profile = closedness.extract_subgroup, closedness.closedness_profile
+        calls = []
+
+        def spy(d, n):
+            calls.append((d, n))
+            return real(d, n)
+
+        monkeypatch.setattr(closedness, "extract_subgroup", spy)
+        groups = [g for g in map(parse_group_spec, DEFAULT_CORPUS)
+                  if g.order <= verify.EXHAUSTIVE_SUBSET_ORDER_CAP]
+        assert len(groups) == 16
+        for g in groups:
+            calls.clear()
+            checked, _ = sweep_extraction(g)
+            assert len(calls) == checked, g.name
+            for d, n in calls:
+                p = profile(d)
+                assert d.owner is g and d.mask != 0 and n >= 3
+                assert p.is_closed(n) and not p.is_closed(2), (g.name, d.labels(), n)
+
+
 class TestPool:
     def test_pool_is_capped_at_tasks_and_available_cpus(self, monkeypatch, serial_pool):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool)
